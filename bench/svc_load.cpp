@@ -18,15 +18,25 @@
 //                    connected, counting typed `overloaded` rejections —
 //                    the admission-control path exercised on purpose.
 //
+// In-process runs repeat the measured phase once more with the JSONL
+// access log on (its QPS cost is reported). `--access-log=FILE` keeps that
+// log at FILE instead of <out>/access_svc_load.jsonl, and
+// `--profile=FILE` traces the same phase into a Chrome trace, so spans and
+// access records join on trace id (`mcast_lab trace`).
+//
 // Output: human summary on stdout + BENCH_service.json (schema
 // mcast-lab-manifest/2, `mcast_lab validate`-clean) with QPS and exact
 // p50/p95/p99 latencies in the fits section.
+//
+// Exit codes: 0 ok; 1 bad arguments or a failed run contract (lost
+// responses, chaos goodput or shed contract); 2 the output directory or an
+// artifact cannot be written (checked before any load runs).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <ctime>
-#include <functional>
+#include <filesystem>
 #include <iostream>
 #include <memory>
 #include <stdexcept>
@@ -46,7 +56,6 @@
 #include "service/client.hpp"
 #include "service/protocol.hpp"
 #include "service/query_service.hpp"
-#include "service/shard_router.hpp"
 #include "topo/cache.hpp"
 
 namespace {
@@ -67,9 +76,6 @@ using mcast::service::query_service;
 using mcast::service::retry_client;
 using mcast::service::retry_policy;
 using mcast::service::shed_policy;
-using mcast::service::sharded_config;
-using mcast::service::sharded_service;
-using mcast::topology_key;
 
 using clock_type = std::chrono::steady_clock;
 
@@ -85,9 +91,8 @@ struct options {
   bool overload_probe = true;
   std::string chaos;              // chaos spec; non-empty switches modes
   double min_goodput_ratio = 0.7; // chaos mode failure threshold
-  std::size_t shards = 0;         // >0 switches to the sharded-core harness
-  std::string access_log;         // sharded mode: JSONL access-log artifact
-  std::string profile;            // sharded mode: Chrome-trace artifact
+  std::string access_log;         // access-log phase artifact ("" = default)
+  std::string profile;            // Chrome trace of the access-log phase
 };
 
 [[noreturn]] void die(const std::string& message) {
@@ -145,9 +150,6 @@ options parse_options(int argc, char** argv) {
     } else if (arg.rfind("--chaos=", 0) == 0) {
       opt.chaos = value_of("--chaos");
       if (opt.chaos.empty()) die("--chaos= needs a spec (try --chaos=default)");
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      opt.shards = parse_u64_flag(value_of("--shards"), "--shards");
-      if (opt.shards == 0 || opt.shards > 64) die("--shards must be in 1..64");
     } else if (arg.rfind("--access-log=", 0) == 0) {
       opt.access_log = value_of("--access-log");
       if (opt.access_log.empty()) die("--access-log= needs a file path");
@@ -316,7 +318,7 @@ op_percentiles summarize(std::vector<double>& sample) {
 }
 
 /// Adds the lmhat/estimate/reachability splits to a fit's value list and
-/// prints the one-line breakdown (shared by the flat and sharded modes).
+/// prints the one-line breakdown.
 void report_op_breakdown(phase_result& measured, mcast::lab::fit_entry& fit) {
   static const char* const names[3] = {"lmhat", "estimate", "reachability"};
   for (std::size_t b = 0; b < 3; ++b) {
@@ -346,13 +348,12 @@ server_config typed_config(std::size_t workers, std::size_t queue) {
 
 /// Holds a workers=1/queue=1 server busy with a slow Monte-Carlo request
 /// and burst-connects it; returns how many typed `overloaded` rejections
-/// the burst collected (the admission-control rate under saturation). The
-/// handler is whichever service core (flat or sharded) is under test.
-std::uint64_t overload_probe(
-    std::uint64_t seed,
-    const std::function<std::string(const std::string&)>& handle) {
-  line_server tiny(typed_config(1, 1),
-                   [&handle](const std::string& line) { return handle(line); });
+/// the burst collected (the admission-control rate under saturation).
+std::uint64_t overload_probe(std::uint64_t seed) {
+  query_service svc;
+  line_server tiny(typed_config(1, 1), [&svc](const std::string& line) {
+    return svc.handle(line);
+  });
 
   // Occupy the single worker with a deliberately heavy request.
   unique_fd busy = connect_loopback(tiny.port());
@@ -388,256 +389,6 @@ std::uint64_t overload_probe(
   tiny.shutdown();
   tiny.wait();
   return rejected;
-}
-
-// --- sharded mode ------------------------------------------------------
-//
-// `--shards=N` swaps the flat query_service for the consistent-hash
-// sharded core (service/shard_router.hpp) and adds two probes on top of
-// the usual open-loop phases: a byte-identity check (the same request
-// lines through an N-shard core, a 1-shard core and the flat service must
-// produce identical bytes — the scatter/gather splice contract), and a
-// 1-shard reference run so the manifest reports the measured scaling
-// factor honestly for whatever core count the host actually has.
-
-std::shared_ptr<sharded_service> make_sharded(std::size_t shards) {
-  sharded_config config;
-  config.shards = shards;
-  auto svc = std::make_shared<sharded_service>(config);
-  topology_key arpa;
-  arpa.name = "ARPA";
-  arpa.seed = 7;  // the protocol's topology_seed default, as the mix uses
-  svc->warm({arpa});
-  return svc;
-}
-
-/// Replays a fixed request set — single ops, a scattered multi-source
-/// lm_estimate and a batch envelope with a failing slot — through an
-/// N-shard core, a 1-shard core and the flat query_service; any byte
-/// difference is a splice-contract violation.
-bool identity_probe(std::size_t shards, std::uint64_t seed) {
-  const std::vector<std::string> lines = {
-      "{\"op\":\"lmhat\",\"k\":3,\"depth\":4,\"n\":[1,10,100],\"id\":\"p0\"}",
-      "{\"op\":\"reachability\",\"topology\":\"ARPA\",\"source\":5,"
-      "\"id\":\"p1\"}",
-      "{\"op\":\"lm_estimate\",\"topology\":\"ARPA\",\"group_sizes\":"
-      "[2,4,8,16],\"sources\":8,\"receiver_sets\":4,\"seed\":" +
-          std::to_string(1 + seed % 997) + ",\"id\":\"p2\"}",
-      "{\"op\":\"batch\",\"id\":\"p3\",\"ops\":["
-      "{\"op\":\"lmhat\",\"k\":2,\"depth\":3,\"n\":[1,10],\"id\":\"s0\"},"
-      "{\"op\":\"lm_estimate\",\"topology\":\"ARPA\",\"group_sizes\":[2,4],"
-      "\"sources\":5,\"receiver_sets\":2,\"seed\":42,\"id\":\"s1\"},"
-      "{\"op\":\"reachability\",\"topology\":\"ARPA\",\"source\":1,"
-      "\"id\":\"s2\"},"
-      "{\"op\":\"nosuch\",\"id\":\"s3\"}]}",
-      // Trace-token echo is part of the byte contract: the echoed token
-      // must be identical across shard counts and hosts, including on
-      // scattered ops and inherited batch slots.
-      "{\"op\":\"lm_estimate\",\"topology\":\"ARPA\",\"group_sizes\":[2,4],"
-      "\"sources\":6,\"receiver_sets\":2,\"seed\":9,\"id\":\"p4\","
-      "\"trace\":\"probe-a1\"}",
-      "{\"op\":\"batch\",\"id\":\"p5\",\"trace\":\"probe-a2\",\"ops\":["
-      "{\"op\":\"lmhat\",\"k\":2,\"depth\":3,\"n\":[1,10],\"id\":\"s0\"},"
-      "{\"op\":\"nosuch\",\"id\":\"s1\"}]}",
-  };
-
-  auto many = make_sharded(shards);   // warmed: warm tier must not change bytes
-  sharded_config one_config;
-  one_config.shards = 1;
-  sharded_service one(one_config);    // cold: builds through the shard LRU
-  query_service flat;
-
-  bool identical = true;
-  for (const std::string& line : lines) {
-    const std::string a = many->handle(line);
-    const std::string b = one.handle(line);
-    const std::string c = flat.handle(line);
-    if (a != b || a != c) {
-      identical = false;
-      std::cerr << "svc_load: IDENTITY MISMATCH on " << line << "\n"
-                << "  " << shards << "-shard: " << a << "\n"
-                << "  1-shard:  " << b << "\n"
-                << "  flat:     " << c << "\n";
-    }
-  }
-  many->shutdown();
-  one.shutdown();
-  return identical;
-}
-
-int sharded_main(const options& opt) {
-  if (opt.port != 0) die("--shards needs the in-process server (drop --port)");
-
-  mcast::obs::reset_metrics();
-  const std::clock_t cpu_begin = std::clock();
-  const auto wall_begin = clock_type::now();
-
-  std::cerr << "svc_load: sharded mode shards=" << opt.shards
-            << " connections=" << opt.connections
-            << " requests=" << opt.requests << " rate=" << opt.rate << "/s\n";
-
-  // One open-loop measured phase against a fresh sharded core; the same
-  // harness runs once at --shards and once at 1 shard for the reference.
-  const auto run_sharded_phase = [&opt](std::size_t shards) {
-    auto svc = make_sharded(shards);
-    line_server server(typed_config(opt.workers, opt.queue),
-                       [svc](const std::string& line) {
-                         return svc->handle(line);
-                       });
-    svc->set_stats_source([&server] { return server.stats(); });
-    {
-      options warm = opt;
-      warm.connections = std::min<std::size_t>(opt.connections, 4);
-      warm.requests = 16;
-      warm.rate = 0.0;
-      (void)run_phase(server.port(), warm);
-    }
-    phase_result measured = run_phase(server.port(), opt);
-    server.shutdown();
-    server.wait();
-    svc->shutdown();
-    return measured;
-  };
-
-  // The observability artifacts (trace-smoke): arm the Chrome-trace ring
-  // and the access-log sink around the N-shard measured phase only —
-  // the reference phase and the direct-handle probes below would add
-  // untagged or duplicate records to the artifacts.
-  if (!opt.profile.empty()) {
-    mcast::obs::trace_clear();
-    mcast::obs::trace_enable();
-  }
-  if (!opt.access_log.empty()) {
-    mcast::obs::access_log_enable(opt.access_log);
-  }
-  phase_result measured_n = run_sharded_phase(opt.shards);
-  if (!opt.access_log.empty()) mcast::obs::access_log_disable();
-  if (!opt.profile.empty()) mcast::obs::trace_disable();
-  const double qps_n = measured_n.wall_seconds > 0.0
-                           ? static_cast<double>(measured_n.latencies_ms.size()) /
-                                 measured_n.wall_seconds
-                           : 0.0;
-  phase_result measured_1 = run_sharded_phase(1);
-  const double qps_1 = measured_1.wall_seconds > 0.0
-                           ? static_cast<double>(measured_1.latencies_ms.size()) /
-                                 measured_1.wall_seconds
-                           : 0.0;
-  const double scaling_x = qps_1 > 0.0 ? qps_n / qps_1 : 0.0;
-
-  const bool identical = identity_probe(opt.shards, opt.seed);
-
-  std::uint64_t overload_rejections = 0;
-  if (opt.overload_probe) {
-    auto tiny = make_sharded(opt.shards);
-    overload_rejections =
-        overload_probe(opt.seed, [tiny](const std::string& line) {
-          return tiny->handle(line);
-        });
-    tiny->shutdown();
-  }
-
-  const std::uint64_t expected =
-      static_cast<std::uint64_t>(opt.connections) * opt.requests;
-  std::sort(measured_n.latencies_ms.begin(), measured_n.latencies_ms.end());
-  const double p50 = percentile(measured_n.latencies_ms, 0.50);
-  const double p95 = percentile(measured_n.latencies_ms, 0.95);
-  const double p99 = percentile(measured_n.latencies_ms, 0.99);
-
-  std::printf("svc_load sharded results (shards=%zu)\n", opt.shards);
-  std::printf("  requests     %llu / %llu answered (%llu error, %llu lost)\n",
-              static_cast<unsigned long long>(measured_n.latencies_ms.size()),
-              static_cast<unsigned long long>(expected),
-              static_cast<unsigned long long>(measured_n.errors),
-              static_cast<unsigned long long>(measured_n.lost));
-  std::printf("  throughput   %.1f req/s sharded, %.1f req/s 1-shard "
-              "(scaling %.2fx)\n",
-              qps_n, qps_1, scaling_x);
-  std::printf("  latency ms   p50=%.3f p95=%.3f p99=%.3f\n", p50, p95, p99);
-  std::printf("  identity     %s\n", identical ? "byte-identical" : "MISMATCH");
-  if (opt.overload_probe) {
-    std::printf("  overload     %llu typed rejections under saturation\n",
-                static_cast<unsigned long long>(overload_rejections));
-  }
-
-  namespace lab = mcast::lab;
-  lab::run_record record;
-  record.experiment_id = "svc_sharded";
-  record.title = "Sharded service: scaling, identity and per-op tails";
-  record.claim =
-      "open-loop throughput of the consistent-hash sharded core against a "
-      "1-shard reference, byte-identity of scattered lm_estimate and batch "
-      "responses across shard counts, per-op tail latencies, and typed "
-      "admission rejections under saturation";
-  record.scale = lab::scale_from_env();
-  record.threads = opt.workers;
-  record.use_spt_cache = true;
-  record.parameters.set("connections",
-                        static_cast<std::uint64_t>(opt.connections));
-  record.parameters.set("requests", static_cast<std::uint64_t>(opt.requests));
-  record.parameters.set("rate", opt.rate);
-  record.parameters.set("workers", static_cast<std::uint64_t>(opt.workers));
-  record.parameters.set("queue", static_cast<std::uint64_t>(opt.queue));
-  record.parameters.set("seed", opt.seed);
-  record.parameters.set("shards", static_cast<std::uint64_t>(opt.shards));
-  record.git_revision = lab::current_git_revision();
-  record.timestamp_utc = lab::utc_timestamp();
-  record.wall_seconds =
-      std::chrono::duration<double>(clock_type::now() - wall_begin).count();
-  record.cpu_seconds = static_cast<double>(std::clock() - cpu_begin) /
-                       static_cast<double>(CLOCKS_PER_SEC);
-  lab::fit_entry fit;
-  fit.label = "SvcShard";
-  {
-    char text[320];
-    std::snprintf(text, sizeof text,
-                  "qps_n=%.1f qps_1=%.1f scaling_x=%.3f identical=%d "
-                  "p50_ms=%.3f p95_ms=%.3f p99_ms=%.3f errors=%llu "
-                  "lost=%llu overload_rejections=%llu",
-                  qps_n, qps_1, scaling_x, identical ? 1 : 0, p50, p95, p99,
-                  static_cast<unsigned long long>(measured_n.errors),
-                  static_cast<unsigned long long>(measured_n.lost +
-                                                  measured_1.lost),
-                  static_cast<unsigned long long>(overload_rejections));
-    fit.text = text;
-  }
-  fit.values = {
-      {"qps_n", qps_n},
-      {"qps_1", qps_1},
-      {"scaling_x", scaling_x},
-      {"identical", identical ? 1.0 : 0.0},
-      {"shards", static_cast<double>(opt.shards)},
-      {"p50_ms", p50},
-      {"p95_ms", p95},
-      {"p99_ms", p99},
-      {"answered", static_cast<double>(measured_n.latencies_ms.size())},
-      {"errors", static_cast<double>(measured_n.errors)},
-      {"lost", static_cast<double>(measured_n.lost + measured_1.lost)},
-      {"overload_rejections", static_cast<double>(overload_rejections)},
-  };
-  report_op_breakdown(measured_n, fit);
-  record.fits.push_back(std::move(fit));
-  record.metric_groups = {"service", "topo_cache"};
-  record.metrics = mcast::obs::snapshot();
-
-  const std::string path = opt.out_dir + "/BENCH_service_sharded.json";
-  lab::write_manifest(record, path);
-  std::cerr << "svc_load: manifest " << path << "\n";
-  if (!opt.profile.empty()) {
-    const mcast::obs::trace_dump dump = mcast::obs::trace_collect();
-    mcast::obs::write_chrome_trace_file(opt.profile, dump);
-    std::cerr << "svc_load: trace " << opt.profile << " ("
-              << dump.events.size() << " events, " << dump.dropped
-              << " dropped)\n";
-  }
-  if (!opt.access_log.empty()) {
-    std::cerr << "svc_load: access log " << opt.access_log << "\n";
-  }
-
-  if (!identical) {
-    std::cerr << "svc_load: FAIL: sharded responses not byte-identical\n";
-    return 1;
-  }
-  return measured_n.lost + measured_1.lost == 0 ? 0 : 1;
 }
 
 // --- chaos mode --------------------------------------------------------
@@ -806,39 +557,16 @@ int chaos_main(const options& opt) {
 
   std::cerr << "svc_load: chaos mode (" << spec.describe()
             << ") connections=" << opt.connections
-            << " requests=" << opt.requests
-            << (opt.shards > 0 ? " shards=" + std::to_string(opt.shards) : "")
-            << "\n";
-
-  // --shards applies in chaos mode too: both phases drive whichever
-  // service core is under test behind the same chaos shim.
-  const auto make_core = [&opt] {
-    std::pair<std::shared_ptr<query_service>, std::shared_ptr<sharded_service>>
-        core;
-    if (opt.shards > 0) {
-      core.second = make_sharded(opt.shards);
-    } else {
-      core.first = std::make_shared<query_service>();
-    }
-    return core;
-  };
+            << " requests=" << opt.requests << "\n";
 
   // Phase 1: fault-free baseline, same closed-loop retry-client workload.
   double baseline_qps = 0.0;
   {
-    auto [mono, sharded] = make_core();
-    line_server server(typed_config(opt.workers, opt.queue),
-                       [mono = mono, sharded = sharded](
-                           const std::string& line) {
-                         return sharded ? sharded->handle(line)
-                                        : mono->handle(line);
-                       });
-    auto stats = [&server] { return server.stats(); };
-    if (sharded) {
-      sharded->set_stats_source(stats);
-    } else {
-      mono->set_stats_source(stats);
-    }
+    auto svc = std::make_shared<query_service>();
+    line_server server(
+        typed_config(opt.workers, opt.queue),
+        [svc](const std::string& line) { return svc->handle(line); });
+    svc->set_stats_source([&server] { return server.stats(); });
     const closed_loop_result baseline = run_closed_loop(server.port(), opt);
     server.shutdown();
     server.wait();
@@ -857,19 +585,12 @@ int chaos_main(const options& opt) {
   mcast::net::server_stats chaos_stats;
   closed_loop_result faulted;
   {
-    auto [mono, sharded] = make_core();
+    auto svc = std::make_shared<query_service>();
     server_config config = typed_config(opt.workers, opt.queue);
     config.chaos = std::make_shared<const chaos_engine>(spec);
-    line_server server(config, [mono = mono, sharded = sharded](
-                                   const std::string& line) {
-      return sharded ? sharded->handle(line) : mono->handle(line);
-    });
-    auto stats = [&server] { return server.stats(); };
-    if (sharded) {
-      sharded->set_stats_source(stats);
-    } else {
-      mono->set_stats_source(stats);
-    }
+    line_server server(
+        config, [svc](const std::string& line) { return svc->handle(line); });
+    svc->set_stats_source([&server] { return server.stats(); });
     faulted = run_closed_loop(server.port(), opt);
     chaos_stats = server.stats();
     server.shutdown();
@@ -931,7 +652,6 @@ int chaos_main(const options& opt) {
   record.parameters.set("seed", opt.seed);
   record.parameters.set("chaos", spec.describe());
   record.parameters.set("min_goodput_ratio", opt.min_goodput_ratio);
-  record.parameters.set("shards", static_cast<std::uint64_t>(opt.shards));
   record.git_revision = lab::current_git_revision();
   record.timestamp_utc = lab::utc_timestamp();
   record.wall_seconds =
@@ -993,13 +713,7 @@ int chaos_main(const options& opt) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const options opt = parse_options(argc, argv);
-  if (!opt.chaos.empty()) return chaos_main(opt);
-  if (opt.shards > 0) return sharded_main(opt);
-
+int load_main(const options& opt) {
   mcast::obs::reset_metrics();
   const std::clock_t cpu_begin = std::clock();
   const auto wall_begin = clock_type::now();
@@ -1058,15 +772,23 @@ int main(int argc, char** argv) {
   }
 
   // Access-log overhead pair: the identical measured phase re-run with
-  // the JSONL sink armed. The open loop is rate-paced, so a healthy run
-  // lands well inside the <2% QPS budget docs/observability.md promises.
+  // the JSONL sink armed (and the span tracer, under --profile). The open
+  // loop is rate-paced, so this measures the log's cost at the offered
+  // rate, not at saturation.
   double qps_logged = 0.0;
   double accesslog_overhead = 0.0;
   if (server) {
-    const std::string log_path = opt.out_dir + "/access_svc_load.jsonl";
+    const std::string log_path = opt.access_log.empty()
+                                     ? opt.out_dir + "/access_svc_load.jsonl"
+                                     : opt.access_log;
+    if (!opt.profile.empty()) {
+      mcast::obs::trace_clear();
+      mcast::obs::trace_enable();
+    }
     mcast::obs::access_log_enable(log_path);
     phase_result logged = run_phase(port, opt);
     mcast::obs::access_log_disable();
+    if (!opt.profile.empty()) mcast::obs::trace_disable();
     qps_logged = logged.wall_seconds > 0.0
                      ? static_cast<double>(logged.latencies_ms.size()) /
                            logged.wall_seconds
@@ -1077,11 +799,7 @@ int main(int argc, char** argv) {
 
   std::uint64_t overload_rejections = 0;
   if (server && opt.overload_probe) {
-    auto tiny_svc = std::make_shared<query_service>();
-    overload_rejections =
-        overload_probe(opt.seed, [tiny_svc](const std::string& line) {
-          return tiny_svc->handle(line);
-        });
+    overload_rejections = overload_probe(opt.seed);
   }
 
   if (server) {
@@ -1170,8 +888,31 @@ int main(int argc, char** argv) {
   const std::string path = opt.out_dir + "/BENCH_service.json";
   lab::write_manifest(record, path);
   std::cerr << "svc_load: manifest " << path << "\n";
+  if (server && !opt.profile.empty()) {
+    const mcast::obs::trace_dump dump = mcast::obs::trace_collect();
+    mcast::obs::write_chrome_trace_file(opt.profile, dump);
+    std::cerr << "svc_load: trace " << opt.profile << " ("
+              << dump.events.size() << " events, " << dump.dropped
+              << " dropped)\n";
+  }
 
   // Lost responses mean dropped connections mid-phase — that is a failure
   // of the zero-drop contract, not a statistic.
   return measured.lost == 0 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const options opt = parse_options(argc, argv);
+  try {
+    if (!std::filesystem::is_directory(opt.out_dir)) {
+      throw std::runtime_error("--out=" + opt.out_dir +
+                               " is not an existing directory");
+    }
+    return opt.chaos.empty() ? load_main(opt) : chaos_main(opt);
+  } catch (const std::exception& e) {
+    std::cerr << "svc_load: " << e.what() << "\n";
+    return 2;
+  }
 }

@@ -130,14 +130,11 @@ struct access_record {
   std::string token;
   std::string op;
   std::string outcome;
-  std::int64_t shard = -1;
   std::uint64_t queue_wait_ns = 0;
   std::uint64_t compute_ns = 0;
   std::uint64_t serialize_ns = 0;
   std::uint64_t write_ns = 0;
   std::uint64_t total_ns = 0;
-  std::uint64_t fanout = 0;
-  std::uint64_t fallbacks = 0;
   bool degraded = false;
   bool shed = false;
   bool chaos = false;
@@ -214,18 +211,11 @@ std::vector<access_record> load_access_log(const std::string& path) {
     r.token = string_field(doc, path, line_no, "token");
     r.op = string_field(doc, path, line_no, "op");
     r.outcome = string_field(doc, path, line_no, "outcome");
-    const json::value* shard = doc.get("shard");
-    if (shard == nullptr || !shard->is(json::value::kind::number)) {
-      bad_record(path, line_no, "missing or non-number 'shard'");
-    }
-    r.shard = static_cast<std::int64_t>(shard->as_number());
     r.queue_wait_ns = u64_field(doc, path, line_no, "queue_wait_ns");
     r.compute_ns = u64_field(doc, path, line_no, "compute_ns");
     r.serialize_ns = u64_field(doc, path, line_no, "serialize_ns");
     r.write_ns = u64_field(doc, path, line_no, "write_ns");
     r.total_ns = u64_field(doc, path, line_no, "total_ns");
-    r.fanout = u64_field(doc, path, line_no, "fanout");
-    r.fallbacks = u64_field(doc, path, line_no, "fallbacks");
     r.degraded = bool_field(doc, path, line_no, "degraded");
     r.shed = bool_field(doc, path, line_no, "shed");
     r.chaos = bool_field(doc, path, line_no, "chaos");
@@ -289,9 +279,6 @@ std::string describe_record(const access_record& r) {
                     " outcome=" +
                     (r.outcome.empty() ? std::string("?") : r.outcome) +
                     " total=" + fmt_ns_as_us(r.total_ns) + "us";
-  if (r.shard >= 0) out += " shard=" + std::to_string(r.shard);
-  if (r.fanout > 0) out += " fanout=" + std::to_string(r.fanout);
-  if (r.fallbacks > 0) out += " fallbacks=" + std::to_string(r.fallbacks);
   if (!r.token.empty()) out += " token=" + r.token;
   if (r.degraded) out += " degraded";
   if (r.shed) out += " shed";

@@ -25,6 +25,24 @@ namespace {
 
 enum class receiver_model { distinct, with_replacement };
 
+// Per-group-size Welford accumulators of one source task. Welford merging
+// is NOT floating-point associative, so blocks are always merged in
+// ascending source order — the sequence that makes results independent of
+// the thread count.
+struct mc_cell {
+  running_stats ratio;
+  running_stats tree;
+  running_stats unicast;
+  running_stats distinct;
+
+  void merge(const mc_cell& other) {
+    ratio.merge(other.ratio);
+    tree.merge(other.tree);
+    unicast.merge(other.unicast);
+    distinct.merge(other.distinct);
+  }
+};
+
 // Derives the independent RNG stream of source-task `s`. Pure function of
 // (seed, s, salt) so the result is identical for any thread schedule.
 rng task_stream(std::uint64_t seed, std::size_t s, std::uint64_t salt) {
@@ -134,19 +152,16 @@ void run_one_source(const graph& g, const degraded_view* view,
   }
 }
 
-// Shared validation + source-range execution. Runs source tasks
-// [begin, end) of the measurement and returns their un-merged accumulator
-// blocks (element i belongs to global source index begin+i).
+// Shared validation + execution. Runs every source task of the
+// measurement and returns their un-merged accumulator blocks (element s
+// belongs to source index s).
 std::vector<std::vector<mc_cell>> measure_sources(
     const graph& g, const degraded_view* view,
     const std::vector<std::uint64_t>& group_sizes,
-    const monte_carlo_params& params, receiver_model model, std::size_t begin,
-    std::size_t end) {
+    const monte_carlo_params& params, receiver_model model) {
   expects(g.node_count() >= 2, "measure: graph needs at least two nodes");
   expects(params.sources >= 1 && params.receiver_sets >= 1,
           "measure: sources and receiver_sets must be >= 1");
-  expects(begin < end && end <= params.sources,
-          "measure: source range must satisfy begin < end <= sources");
   const std::uint64_t sites = g.node_count() - 1;  // all nodes except source
   for (std::uint64_t m : group_sizes) {
     expects(m >= 1, "measure: group sizes must be >= 1");
@@ -171,23 +186,21 @@ std::vector<std::vector<mc_cell>> measure_sources(
             "measure: degraded view must leave at least two alive nodes");
   }
 
-  const std::size_t count = end - begin;
+  const std::size_t count = params.sources;
   const std::size_t threads =
       std::min<std::size_t>(count, resolve_thread_count(params.threads));
 
   // Every source task writes its own accumulator block; blocks are merged
   // in source order afterwards, so the result is independent of both the
-  // thread count and the scheduling. Task RNG streams key on the GLOBAL
-  // source index, so any partition of [0, sources) into ranges reproduces
-  // the serial run's blocks exactly.
+  // thread count and the scheduling.
   std::vector<std::vector<mc_cell>> per_source(
       count, std::vector<mc_cell>(group_sizes.size()));
 
   if (threads <= 1) {
     worker_context ctx;
     for (std::size_t i = 0; i < count; ++i) {
-      run_one_source(g, view, group_sizes, params, model, begin + i,
-                     source_pool, ctx, per_source[i]);
+      run_one_source(g, view, group_sizes, params, model, i, source_pool,
+                     ctx, per_source[i]);
     }
   } else {
     std::atomic<std::size_t> next{0};
@@ -198,8 +211,8 @@ std::vector<std::vector<mc_cell>> measure_sources(
       worker_context ctx;
       for (std::size_t i = next.fetch_add(1); i < count;
            i = next.fetch_add(1)) {
-        run_one_source(g, view, group_sizes, params, model, begin + i,
-                       source_pool, ctx, per_source[i]);
+        run_one_source(g, view, group_sizes, params, model, i, source_pool,
+                       ctx, per_source[i]);
       }
     };
     std::vector<std::thread> pool;
@@ -210,41 +223,15 @@ std::vector<std::vector<mc_cell>> measure_sources(
   return per_source;
 }
 
-std::vector<scaling_point> measure(const graph& g, const degraded_view* view,
-                                   const std::vector<std::uint64_t>& group_sizes,
-                                   const monte_carlo_params& params,
-                                   receiver_model model) {
-  MCAST_OBS_SPAN("monte_carlo_measure");
-  return splice_source_cells(
-      group_sizes, measure_sources(g, view, group_sizes, params, model, 0,
-                                   params.sources));
-}
-
-}  // namespace
-
-std::vector<std::vector<mc_cell>> measure_sources_distinct(
-    const graph& g, const std::vector<std::uint64_t>& group_sizes,
-    const monte_carlo_params& params, std::size_t begin, std::size_t end) {
-  return measure_sources(g, nullptr, group_sizes, params,
-                         receiver_model::distinct, begin, end);
-}
-
-std::vector<std::vector<mc_cell>> measure_sources_with_replacement(
-    const graph& g, const std::vector<std::uint64_t>& group_sizes,
-    const monte_carlo_params& params, std::size_t begin, std::size_t end) {
-  return measure_sources(g, nullptr, group_sizes, params,
-                         receiver_model::with_replacement, begin, end);
-}
-
+// Folds per-source blocks into scaling rows, merging block s into the
+// running total before block s+1.
 std::vector<scaling_point> splice_source_cells(
     const std::vector<std::uint64_t>& group_sizes,
     const std::vector<std::vector<mc_cell>>& per_source) {
   std::vector<mc_cell> total(group_sizes.size());
-  for (std::size_t s = 0; s < per_source.size(); ++s) {
-    expects(per_source[s].size() == group_sizes.size(),
-            "splice_source_cells: block width must match the group grid");
+  for (const std::vector<mc_cell>& block : per_source) {
     for (std::size_t gi = 0; gi < group_sizes.size(); ++gi) {
-      total[gi].merge(per_source[s][gi]);
+      total[gi].merge(block[gi]);
     }
   }
 
@@ -261,6 +248,17 @@ std::vector<scaling_point> splice_source_cells(
   }
   return out;
 }
+
+std::vector<scaling_point> measure(const graph& g, const degraded_view* view,
+                                   const std::vector<std::uint64_t>& group_sizes,
+                                   const monte_carlo_params& params,
+                                   receiver_model model) {
+  MCAST_OBS_SPAN("monte_carlo_measure");
+  return splice_source_cells(
+      group_sizes, measure_sources(g, view, group_sizes, params, model));
+}
+
+}  // namespace
 
 std::vector<scaling_point> measure_distinct_receivers(
     const graph& g, const std::vector<std::uint64_t>& group_sizes,

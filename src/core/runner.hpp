@@ -79,52 +79,6 @@ std::vector<scaling_point> measure_distinct_receivers(
     const degraded_view& view, const std::vector<std::uint64_t>& group_sizes,
     const monte_carlo_params& params);
 
-/// Per-group-size Welford accumulators for one slice of a measurement.
-/// A slice is a contiguous range of source tasks; merging slices in
-/// ascending source order reproduces the serial accumulation sequence
-/// exactly, which is what keeps distributed (scatter/gather) measurements
-/// byte-identical to single-threaded ones. Welford merging is NOT
-/// floating-point associative, so callers must never re-associate blocks —
-/// always concatenate per-source blocks in index order and splice once.
-struct mc_cell {
-  running_stats ratio;
-  running_stats tree;
-  running_stats unicast;
-  running_stats distinct;
-
-  void merge(const mc_cell& other) {
-    ratio.merge(other.ratio);
-    tree.merge(other.tree);
-    unicast.merge(other.unicast);
-    distinct.merge(other.distinct);
-  }
-};
-
-/// Un-merged accumulator blocks for source tasks [begin, end) of the L(m)
-/// measurement `measure_distinct_receivers(g, group_sizes, params)` would
-/// run. Element i holds the block of source task begin+i (one mc_cell per
-/// group-size row). Source tasks derive their RNG streams from the global
-/// source index, so a partition of [0, params.sources) into ranges — in any
-/// process, on any thread count — yields blocks identical to the serial
-/// run's. Validation matches the full measurement; additionally requires
-/// begin < end <= params.sources.
-std::vector<std::vector<mc_cell>> measure_sources_distinct(
-    const graph& g, const std::vector<std::uint64_t>& group_sizes,
-    const monte_carlo_params& params, std::size_t begin, std::size_t end);
-
-/// Same slice API for the with-replacement model (L̂(n)).
-std::vector<std::vector<mc_cell>> measure_sources_with_replacement(
-    const graph& g, const std::vector<std::uint64_t>& group_sizes,
-    const monte_carlo_params& params, std::size_t begin, std::size_t end);
-
-/// Folds per-source blocks (concatenated in ascending source order) into
-/// scaling rows, merging block s into the running total before block s+1 —
-/// the exact sequence the serial measurement uses. Every block must have
-/// one cell per group-size row.
-std::vector<scaling_point> splice_source_cells(
-    const std::vector<std::uint64_t>& group_sizes,
-    const std::vector<std::vector<mc_cell>>& per_source);
-
 /// Resolves a requested worker-thread count the way the Monte-Carlo engine
 /// does: 0 means "hardware concurrency", and the result is never below 1.
 /// (The engine additionally caps at the number of source tasks.) Exposed so

@@ -12,8 +12,7 @@
 // A group is keyed by (scope, name): the scope is an opaque partition
 // label its creator chooses — the query service uses the canonical
 // topology key ("ts1000:7:300"), so every group of one topology shares a
-// scope and, under the sharded service, lives on exactly one shard. Two
-// routing modes mirror the tree families the library measures:
+// scope. Two routing modes mirror the tree families the library measures:
 //
 //   * source mode — the tree is rooted at a fixed sender (the paper's
 //     source-specific SPT model);
@@ -152,7 +151,7 @@ class group_manager {
 
   /// Snapshots of every live group, sorted by (scope, name) — the
   /// deterministic order the `group_list` op renders regardless of which
-  /// shard (or thread) owned which group.
+  /// thread created which group.
   std::vector<group_snapshot> list() const;
 
   std::size_t size() const;

@@ -47,13 +47,10 @@ void usage(std::ostream& out) {
          "                           groups, top-K slow requests, retry\n"
          "                           attempt chains (docs/observability.md)\n"
          "  serve [--port=N] [--threads=K] [--queue=N] [--max-line=B]\n"
-         "         [--shards=N] [--shard-workers=K] [--shard-queue=N]\n"
-         "         [--warm=SPEC] [--metrics-summary] [--profile=FILE]\n"
+         "         [--metrics-summary] [--profile=FILE]\n"
          "         [--access-log=FILE] [--slow-us=N] [--trace-seed=N]\n"
          "                           run the line-JSON query service until\n"
-         "                           SIGINT/SIGTERM; --shards=N enables the\n"
-         "                           consistent-hash sharded core\n"
-         "                           (docs/service.md, docs/sharding.md)\n"
+         "                           SIGINT/SIGTERM (docs/service.md)\n"
          "  query --port=N [line..]  send request lines (argv or stdin) to a\n"
          "                           running server; exit 0 iff all ok;\n"
          "                           --trace=BASE tags every attempt with\n"

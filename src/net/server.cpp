@@ -192,11 +192,12 @@ void line_server::worker_loop() {
       obs::add(obs::counter::svc_drain_forced);
       continue;  // pc.fd closes here
     }
-    obs::record(obs::histogram::svc_queue_wait_ns, elapsed_ns(pc.enqueued));
+    const std::uint64_t queue_wait_ns = elapsed_ns(pc.enqueued);
+    obs::record(obs::histogram::svc_queue_wait_ns, queue_wait_ns);
     const std::size_t now_inflight =
         inflight_.fetch_add(1, std::memory_order_relaxed) + 1;
     obs::gauge_max(obs::gauge::svc_inflight_peak, now_inflight);
-    serve_connection(std::move(pc.fd), pc.index);
+    serve_connection(std::move(pc.fd), pc.index, queue_wait_ns);
     inflight_.fetch_sub(1, std::memory_order_relaxed);
   }
 }
@@ -258,7 +259,8 @@ bool line_server::write_response(int fd, const std::string& line,
   return true;
 }
 
-void line_server::serve_connection(unique_fd conn, std::uint64_t conn_index) {
+void line_server::serve_connection(unique_fd conn, std::uint64_t conn_index,
+                                   std::uint64_t queue_wait_ns) {
   const chaos_engine* chaos = config_.chaos.get();
   if (chaos != nullptr) {
     const fault_decision fault = chaos->accept_fault(conn_index);
@@ -345,6 +347,9 @@ void line_server::serve_connection(unique_fd conn, std::uint64_t conn_index) {
     if (obs::access_entry* entry = obs::access_current()) {
       entry->bytes_in = line.size();
       entry->chaos = read_chaos;
+      // Only the first request waited for a worker; later ones on the
+      // same connection are read by the worker that already owns it.
+      if (op_index == 0) entry->queue_wait_ns = queue_wait_ns;
     }
 
     const auto begun = std::chrono::steady_clock::now();
@@ -367,7 +372,7 @@ void line_server::serve_connection(unique_fd conn, std::uint64_t conn_index) {
     const std::uint64_t write_ns = elapsed_ns(write_begun);
     obs::record(obs::histogram::svc_write_ns, write_ns);
     if (obs::access_entry* entry = obs::access_current()) {
-      if (entry->compute_ns == 0) entry->compute_ns = handler_ns;
+      entry->compute_ns = handler_ns;
       entry->write_ns = write_ns;
       entry->bytes_out = response.size() + 1;
       entry->total_ns = elapsed_ns(begun);

@@ -134,7 +134,10 @@ class line_server {
 
   void accept_loop();
   void worker_loop();
-  void serve_connection(unique_fd conn, std::uint64_t conn_index);
+  /// Serves one connection; `queue_wait_ns` is how long it sat in the
+  /// accept queue, reported on its first request's access-log record.
+  void serve_connection(unique_fd conn, std::uint64_t conn_index,
+                        std::uint64_t queue_wait_ns);
   /// Writes one response line, applying write-side chaos and the write
   /// deadline. Returns false when the connection must close.
   bool write_response(int fd, const std::string& line, std::uint64_t conn_index,

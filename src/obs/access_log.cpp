@@ -64,9 +64,6 @@ std::string access_log_line(const access_entry& e, bool slow) {
   append_string(out, "token", e.token);
   append_string(out, "op", e.op);
   append_string(out, "topology", e.topology);
-  std::snprintf(buf, sizeof buf, ",\"shard\":%lld",
-                static_cast<long long>(e.shard));
-  out += buf;
   append_u64(out, "queue_wait_ns", e.queue_wait_ns);
   append_u64(out, "compute_ns", e.compute_ns);
   append_u64(out, "serialize_ns", e.serialize_ns);
@@ -74,8 +71,6 @@ std::string access_log_line(const access_entry& e, bool slow) {
   append_u64(out, "total_ns", e.total_ns);
   append_u64(out, "bytes_in", e.bytes_in);
   append_u64(out, "bytes_out", e.bytes_out);
-  append_u64(out, "fanout", e.fanout);
-  append_u64(out, "fallbacks", e.fallbacks);
   append_string(out, "outcome", e.outcome);
   append_bool(out, "degraded", e.degraded);
   append_bool(out, "shed", e.shed);

@@ -1,8 +1,8 @@
 // Per-request structured access log (JSONL, schema mcast-access-log/1).
 //
-// One line per service request, written when the frontend finishes the
-// response: op, topology key, home shard, the latency split (queue wait /
-// compute / serialize / write), byte counts, outcome, and the degraded /
+// One line per service request, written when the server finishes the
+// response: op, topology key, the latency split (queue wait / compute /
+// serialize / write), byte counts, outcome, and the degraded /
 // shed / chaos flags. The sink is process-global and off by default;
 // `access_log_enable(path, slow_ns)` opens it and sets the slow-query
 // threshold (entries at or over it are flagged "slow": true and counted
@@ -10,10 +10,9 @@
 //
 // Lifecycle mirrors how a request flows: the server worker thread calls
 // `access_begin(trace_id)` before dispatching, the service layers fill in
-// fields through `access_current()` (thread-local — only the frontend
-// thread that began the entry may annotate; shard workers report timings
-// back through the router, which annotates after the join), and the
-// server calls `access_finish()` after the response bytes are written.
+// fields through `access_current()` (thread-local — only the thread that
+// began the entry may annotate), and the server calls `access_finish()`
+// after the response bytes are written.
 // When the sink is closed every call is a cheap no-op, and responses are
 // byte-identical either way: the log observes a request, never alters it.
 //
@@ -34,16 +33,15 @@ struct access_entry {
   std::string token;           ///< client "trace" token, "" when absent
   std::string op;              ///< request op, "" if the line never parsed
   std::string topology;        ///< topology key, "" for non-topology ops
-  std::int64_t shard = -1;     ///< home shard; -1 = frontend/inline
-  std::uint64_t queue_wait_ns = 0;  ///< max shard-queue wait across chunks
+  /// Time the connection waited in the server's accept queue for a
+  /// worker; set on the connection's first request, 0 on later ones.
+  std::uint64_t queue_wait_ns = 0;
   std::uint64_t compute_ns = 0;     ///< handler time (parse + dispatch)
   std::uint64_t serialize_ns = 0;   ///< response document -> bytes
   std::uint64_t write_ns = 0;       ///< socket write of the response line
   std::uint64_t total_ns = 0;       ///< begin -> finish wall time
   std::uint64_t bytes_in = 0;
   std::uint64_t bytes_out = 0;
-  std::uint64_t fanout = 0;     ///< scatter chunks dispatched to shards
-  std::uint64_t fallbacks = 0;  ///< chunks refused by a full shard queue
   std::string outcome;          ///< "ok" or the typed error code
   bool degraded = false;
   bool shed = false;

@@ -68,7 +68,6 @@ namespace mcast::obs {
   X(topo_cache_hits, "topo_cache.hits")                          \
   X(topo_cache_misses, "topo_cache.misses")                      \
   X(topo_cache_evictions, "topo_cache.evictions")                \
-  X(topo_cache_warm_hits, "topo_cache.warm_hits")                \
   X(svc_connections_accepted, "svc.connections_accepted")        \
   X(svc_connections_rejected, "svc.connections_rejected")        \
   X(svc_requests, "svc.requests")                                \
@@ -83,14 +82,9 @@ namespace mcast::obs {
   X(svc_chaos_delays, "svc.chaos.delays")                        \
   X(svc_chaos_truncates, "svc.chaos.truncates")                  \
   X(svc_chaos_stalls, "svc.chaos.stalls")                        \
-  X(svc_shard_tasks, "svc.shard.tasks_executed")                 \
-  X(svc_shard_rejected, "svc.shard.rejected")                    \
   X(svc_batch_requests, "svc.batch.requests")                    \
   X(svc_batch_subops, "svc.batch.subops_dispatched")             \
   X(svc_batch_spliced, "svc.batch.subops_spliced")               \
-  X(svc_scatter_requests, "svc.scatter.requests")                \
-  X(svc_scatter_chunks, "svc.scatter.chunks_dispatched")         \
-  X(svc_scatter_spliced, "svc.scatter.chunks_spliced")           \
   X(retry_attempts, "retry.attempts")                            \
   X(retry_retries, "retry.retries")                              \
   X(retry_successes, "retry.successes")                          \
@@ -116,9 +110,6 @@ namespace mcast::obs {
   X(topo_cache_peak_entries, "topo_cache.peak_entries")  \
   X(svc_queue_depth_peak, "svc.queue_depth_peak")         \
   X(svc_inflight_peak, "svc.inflight_peak")               \
-  X(svc_shard_queue_depth_peak, "svc.shard.queue_depth_peak")  \
-  X(svc_shard_inflight_peak, "svc.shard.inflight_peak")   \
-  X(topo_cache_warm_entries, "topo_cache.warm_entries")    \
   X(group_peak_groups, "group.peak_groups")                \
   X(group_peak_members, "group.peak_members")
 
@@ -136,8 +127,6 @@ namespace mcast::obs {
   X(svc_op_reachability_ns, "svc.op.reachability_ns")    \
   X(svc_op_batch_ns, "svc.op.batch_ns")                  \
   X(svc_op_admin_ns, "svc.op.admin_ns")                  \
-  X(svc_shard_queue_wait_ns, "svc.shard.queue_wait_ns")  \
-  X(svc_shard_task_ns, "svc.shard.task_ns")              \
   X(svc_serialize_ns, "svc.serialize_ns")                \
   X(svc_write_ns, "svc.write_ns")                        \
   X(group_graft_links, "group.graft_links_per_join")     \

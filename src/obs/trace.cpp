@@ -295,6 +295,11 @@ trace_scope::trace_scope(trace_context ctx) noexcept : prev_(g_trace_ctx) {
 trace_scope::~trace_scope() { g_trace_ctx = prev_; }
 
 void span::begin() noexcept {
+  // Bind this thread's ring (and with it the lane id) now, not at the
+  // span's end: lanes of exited threads are recycled, and a thread that
+  // first took one in ~span() could inherit a lane whose previous owner
+  // was still running while this span was open.
+  (void)local_ring();
   start_ns_ = now_ns();
   const trace_context ctx = g_trace_ctx;
   if (ctx.trace_id == 0) return;

@@ -1,5 +1,6 @@
 #include "service/commands.hpp"
 
+#include <atomic>
 #include <csignal>
 #include <cstdint>
 #include <fstream>
@@ -18,8 +19,6 @@
 #include "service/client.hpp"
 #include "service/protocol.hpp"
 #include "service/query_service.hpp"
-#include "service/shard_router.hpp"
-#include "topo/cache.hpp"
 
 namespace mcast::service {
 namespace {
@@ -80,48 +79,10 @@ struct serve_flags {
   std::string chaos_spec;
   bool metrics_summary = false;
   std::string profile_path;
-  std::size_t shards = 0;        // 0 = monolithic query_service (legacy path)
-  std::size_t shard_workers = 2;
-  std::size_t shard_queue = 256;
-  std::string warm_spec = "ARPA";  // "none" disables the warm tier
   std::string access_log_path;     // "" = access log off
   std::uint64_t slow_us = 0;       // 0 = no slow-query threshold
   std::uint64_t trace_seed = 0;    // salts the minted request trace ids
 };
-
-/// Warm-tier spec: "none", or comma-separated `name[:budget]` entries
-/// warmed at the service's default topology_seed (7), e.g.
-/// "ARPA,MBone,ts1000:300".
-std::vector<topology_key> parse_warm_spec(const std::string& spec) {
-  std::vector<topology_key> keys;
-  if (spec == "none" || spec.empty()) return keys;
-  std::size_t begin = 0;
-  while (begin <= spec.size()) {
-    std::size_t end = spec.find(',', begin);
-    if (end == std::string::npos) end = spec.size();
-    const std::string entry = spec.substr(begin, end - begin);
-    if (entry.empty()) die("--warm entries must not be empty");
-    topology_key key;
-    key.seed = 7;  // the protocol's topology_seed default
-    const std::size_t colon = entry.find(':');
-    if (colon == std::string::npos) {
-      key.name = entry;
-    } else {
-      key.name = entry.substr(0, colon);
-      const std::uint64_t budget =
-          parse_flag_u64(entry.substr(colon + 1), "--warm budget");
-      if (budget < 64 || budget > 200000) {
-        die("--warm budgets must be in 64..200000");
-      }
-      key.budget = static_cast<node_id>(budget);
-    }
-    if (key.name.empty()) die("--warm entries need a topology name");
-    keys.push_back(std::move(key));
-    begin = end + 1;
-    if (end == spec.size()) break;
-  }
-  return keys;
-}
 
 /// A deadline flag: integer ms, or "off" to disable (maps to -1).
 int parse_deadline_ms(const std::string& text, const std::string& flag) {
@@ -171,21 +132,6 @@ serve_flags parse_serve_flags(const std::vector<std::string>& args) {
     } else if (flag_value(arg, "--profile", value)) {
       if (value.empty()) die("--profile= needs a file path");
       flags.profile_path = value;
-    } else if (flag_value(arg, "--shards", value)) {
-      const std::uint64_t shards = parse_flag_u64(value, "--shards");
-      if (shards == 0 || shards > 64) die("--shards must be in 1..64");
-      flags.shards = static_cast<std::size_t>(shards);
-    } else if (flag_value(arg, "--shard-workers", value)) {
-      const std::uint64_t workers = parse_flag_u64(value, "--shard-workers");
-      if (workers == 0 || workers > 64) die("--shard-workers must be in 1..64");
-      flags.shard_workers = static_cast<std::size_t>(workers);
-    } else if (flag_value(arg, "--shard-queue", value)) {
-      const std::uint64_t queue = parse_flag_u64(value, "--shard-queue");
-      if (queue == 0 || queue > 65536) die("--shard-queue must be in 1..65536");
-      flags.shard_queue = static_cast<std::size_t>(queue);
-    } else if (flag_value(arg, "--warm", value)) {
-      flags.warm_spec = value;
-      parse_warm_spec(value);  // validate eagerly so bad specs die at parse
     } else if (flag_value(arg, "--access-log", value)) {
       if (value.empty()) die("--access-log= needs a file path");
       flags.access_log_path = value;
@@ -223,21 +169,7 @@ int run_serve(const std::vector<std::string>& args) {
     obs::access_log_enable(flags.access_log_path, flags.slow_us * 1000);
   }
 
-  // --shards=N swaps the monolithic query_service for the sharded core
-  // (service/shard_router.hpp); both expose the same handle()/set_*
-  // surface, so the line_server wiring below is host-agnostic.
-  std::shared_ptr<query_service> mono;
-  std::shared_ptr<sharded_service> sharded;
-  if (flags.shards > 0) {
-    sharded_config shard_config;
-    shard_config.shards = flags.shards;
-    shard_config.shard_workers = flags.shard_workers;
-    shard_config.shard_queue = flags.shard_queue;
-    sharded = std::make_shared<sharded_service>(shard_config);
-    sharded->warm(parse_warm_spec(flags.warm_spec));
-  } else {
-    mono = std::make_shared<query_service>();
-  }
+  auto service = std::make_shared<query_service>();
 
   net::server_config config;
   config.port = flags.port;
@@ -263,40 +195,34 @@ int run_serve(const std::vector<std::string>& args) {
         net::chaos_spec::parse(flags.chaos_spec));
   }
 
-  net::line_server server(config, [mono, sharded](const std::string& line) {
-    return sharded ? sharded->handle(line) : mono->handle(line);
+  // The service is configured completely before the server starts its
+  // workers, which may call it at once. Its stats and pressure sources
+  // reach the server through an atomic pointer, published once it exists.
+  std::atomic<const net::line_server*> live{nullptr};
+  service->set_stats_source([&live] {
+    const net::line_server* s = live.load(std::memory_order_acquire);
+    return s != nullptr ? s->stats() : net::server_stats{};
   });
-  auto stats_source = [&server] { return server.stats(); };
-  if (sharded) {
-    sharded->set_stats_source(stats_source);
-  } else {
-    mono->set_stats_source(stats_source);
-  }
   if (flags.shed_degrade <= 1.0 || flags.shed_refuse <= 1.0) {
     shed_policy policy;
     policy.degrade_at = flags.shed_degrade;
     policy.refuse_at = flags.shed_refuse;
     const double capacity = static_cast<double>(flags.queue);
-    auto pressure_source = [&server, capacity] {
-      return static_cast<double>(server.stats().queue_depth) / capacity;
-    };
-    if (sharded) {
-      sharded->set_shed_policy(policy);
-      sharded->set_pressure_source(pressure_source);
-    } else {
-      mono->set_shed_policy(policy);
-      mono->set_pressure_source(pressure_source);
-    }
+    service->set_shed_policy(policy);
+    service->set_pressure_source([&live, capacity] {
+      const net::line_server* s = live.load(std::memory_order_acquire);
+      return s != nullptr
+                 ? static_cast<double>(s->stats().queue_depth) / capacity
+                 : 0.0;
+    });
   }
+  net::line_server server(config, [service](const std::string& line) {
+    return service->handle(line);
+  });
+  live.store(&server, std::memory_order_release);
 
   std::cerr << "[mcast_lab] serve: listening on 127.0.0.1:" << server.port()
             << " workers=" << flags.threads << " queue=" << flags.queue;
-  if (sharded) {
-    std::cerr << " shards=" << sharded->shard_count()
-              << " shard-workers=" << flags.shard_workers
-              << " shard-queue=" << flags.shard_queue
-              << " warm=" << sharded->warm_tier().size();
-  }
   if (!flags.access_log_path.empty()) {
     std::cerr << " access-log=" << flags.access_log_path;
     if (flags.slow_us > 0) std::cerr << " slow-us=" << flags.slow_us;

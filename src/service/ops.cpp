@@ -5,28 +5,24 @@
 
 #include "obs/access_log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace mcast::service {
 
 namespace {
 
 const op_entry op_table[] = {
-    {"lmhat", op_kind::lmhat, /*sheddable=*/false, /*needs_topology=*/false},
-    {"lm_estimate", op_kind::lm_estimate, true, true},
-    {"reachability", op_kind::reachability, true, true},
-    {"metrics", op_kind::metrics, false, false},
-    {"healthz", op_kind::healthz, false, false},
-    // Group ops route by topology key like any topology-bound op; that is
-    // what pins each group to exactly one shard. group_list is the
-    // exception: it has no topology and merges every shard's manager on
-    // the frontend. None are sheddable — O(path) mutations are cheaper
-    // than the Monte-Carlo ops stay even when degraded.
-    {"group_create", op_kind::group_create, false, true},
-    {"group_join", op_kind::group_join, false, true},
-    {"group_leave", op_kind::group_leave, false, true},
-    {"group_stats", op_kind::group_stats, false, true},
-    {"group_list", op_kind::group_list, false, false},
+    {"lmhat", op_kind::lmhat, /*sheddable=*/false},
+    {"lm_estimate", op_kind::lm_estimate, true},
+    {"reachability", op_kind::reachability, true},
+    {"metrics", op_kind::metrics, false},
+    {"healthz", op_kind::healthz, false},
+    // No group op is sheddable: O(path) mutations stay cheaper than the
+    // Monte-Carlo ops even when those are degraded.
+    {"group_create", op_kind::group_create, false},
+    {"group_join", op_kind::group_join, false},
+    {"group_leave", op_kind::group_leave, false},
+    {"group_stats", op_kind::group_stats, false},
+    {"group_list", op_kind::group_list, false},
 };
 
 }  // namespace
@@ -118,7 +114,7 @@ void record_op_latency(const std::string& op, std::uint64_t ns) noexcept {
   }
 }
 
-// Access-log annotation on the frontend thread. A batch envelope's slots
+// Access-log annotation on the request's thread. A batch envelope's slots
 // pass through here first and the envelope last, so the record that
 // survives describes the envelope — which is the request on the wire.
 void annotate_access(const json::value& req, const std::string& op,
@@ -182,76 +178,6 @@ json::value response_document(const json::value& req,
     return error_document(error_code::internal_error, "unknown error", id,
                           trace);
   }
-}
-
-const json::value& batch_subops(const json::value& req,
-                                const service_limits& limits) {
-  const json::value& ops = require_member(req, "ops");
-  if (!ops.is(json::value::kind::array)) {
-    throw request_error(error_code::bad_request,
-                        "field 'ops' must be an array of requests");
-  }
-  if (ops.items().empty()) {
-    throw request_error(error_code::bad_request,
-                        "field 'ops' must not be empty");
-  }
-  if (ops.items().size() > limits.max_batch_ops) {
-    throw request_error(error_code::limit_exceeded,
-                        "field 'ops' exceeds the service cap of " +
-                            std::to_string(limits.max_batch_ops) +
-                            " sub-ops");
-  }
-  return ops;
-}
-
-json::value subop_document(const json::value& sub,
-                           const run_fn& run) noexcept {
-  return subop_document(sub, run, std::string());
-}
-
-json::value subop_document(const json::value& sub, const run_fn& run,
-                           const std::string& parent_trace) noexcept {
-  obs::span subop_span("batch.subop");
-  if (!sub.is(json::value::kind::object)) {
-    return error_document(error_code::bad_request,
-                          "batch sub-op must be a JSON object",
-                          json::value(), parent_trace);
-  }
-  // Slots without their own token inherit the envelope's, so per-slot
-  // typed errors still correlate to the parent request client-side. A
-  // slot that sets one keeps it (and its document stays byte-for-byte
-  // the standalone response).
-  if (!parent_trace.empty() && sub.get("trace") == nullptr) {
-    json::value copy = sub;
-    copy.set("trace", json::value::string(parent_trace));
-    return response_document(copy, run);
-  }
-  return response_document(sub, run);
-}
-
-void reject_nested_batch(const std::string& op) {
-  if (op == "batch") {
-    throw request_error(error_code::bad_request,
-                        "batch must not contain a nested batch");
-  }
-}
-
-json::value make_batch_result(std::vector<json::value>&& docs) {
-  std::size_t ok_count = 0;
-  json::value results = json::value::array();
-  for (json::value& doc : docs) {
-    const json::value* ok = doc.get("ok");
-    if (ok != nullptr && ok->is(json::value::kind::boolean) && ok->as_bool()) {
-      ++ok_count;
-    }
-    results.push(std::move(doc));
-  }
-  json::value result = json::value::object();
-  result.set("count", num_u(docs.size()));
-  result.set("ok_count", num_u(ok_count));
-  result.set("error_count", num_u(docs.size() - ok_count));
-  result.set("results", std::move(results));
-  return result;
 }
 
 }  // namespace mcast::service

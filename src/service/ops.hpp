@@ -1,18 +1,13 @@
-// Shard-agnostic op handlers behind the query service dispatch table.
+// Op handlers behind the query service dispatch table.
 //
 // Every operation of the line protocol lives here as a pure function of
-// (request, op_context): the monolithic query_service and the sharded
-// service (service/shard_router.hpp) both dispatch through the same table
-// and the same handler bodies, which is what makes their responses
-// byte-identical — the only thing a host service chooses is *where* a
-// handler runs (inline, on a shard worker, or scattered across shards)
-// and how topologies resolve (process-wide cache vs per-shard tiers).
+// (request, op_context); query_service (service/query_service.hpp) runs
+// them through the table below. The context supplies the host's topology
+// resolver, live server stats and group state.
 //
 // Handler units:
 //   ops_lmhat.cpp        — closed-form k-ary L̂(n) (Eq 2/3)
-//   ops_estimate.cpp     — Monte-Carlo L(m), split into plan / run /
-//                          render so the source range can scatter across
-//                          shards and splice back in index order
+//   ops_estimate.cpp     — Monte-Carlo L(m) / L̂(n) over a catalog topology
 //   ops_reachability.cpp — reachability profiles + growth fit
 //   ops_admin.cpp        — metrics / healthz (live state; exempt from the
 //                          byte-identity guarantee)
@@ -26,7 +21,6 @@
 #include <vector>
 
 #include "common/json.hpp"
-#include "core/runner.hpp"
 #include "graph/graph.hpp"
 #include "group/group_manager.hpp"
 #include "net/server.hpp"
@@ -49,30 +43,20 @@ struct shed_policy {
   double refuse_at = 2.0;
 };
 
-/// Resolves (catalog name, seed, budget) to a shared immutable graph. The
-/// monolith binds the process-wide topology cache; each shard binds its
-/// own two-tier cache (warm tier + shard LRU).
+/// Resolves (catalog name, seed, budget) to a shared immutable graph; the
+/// query service binds the process-wide topology cache.
 using topology_resolver = std::function<std::shared_ptr<const graph>(
     const std::string& name, std::uint64_t seed, node_id budget)>;
 
-/// Everything a handler needs from its host service. Cheap to copy into
-/// shard workers; the callbacks must be thread-safe (they are: the
-/// resolvers are caches, the stats sources read atomics).
+/// Everything a handler needs from its host service. Handlers run on many
+/// server workers at once, so the callbacks must be thread-safe (they are:
+/// the resolver is a cache, the stats source reads atomics).
 struct op_context {
   service_limits limits;
   topology_resolver resolve;                    ///< required
   std::function<net::server_stats()> stats;     ///< null => zeros + own uptime
-  std::function<json::value()> shard_metrics;   ///< null => no "shards" array
-  /// Live group state for the group_* ops. The monolith binds its one
-  /// manager; the sharded host binds one per shard, so a group lives on
-  /// the shard its topology key routes to. Null in contexts that never
-  /// run group ops (the sharded frontend).
+  /// Live group state for the group_* ops: one manager holds every group.
   std::shared_ptr<group_manager> groups;
-  /// All live groups across the whole host — what group_list renders. The
-  /// monolith lists its manager; the sharded frontend merges every
-  /// shard's manager (each group exists on exactly one shard, so the
-  /// merge is a disjoint union).
-  std::function<std::vector<group_snapshot>()> group_list_all;
   std::chrono::steady_clock::time_point started =
       std::chrono::steady_clock::now();
 };
@@ -97,8 +81,6 @@ struct op_entry {
   op_kind kind;
   /// Participates in cost-aware shedding (the Monte-Carlo ops).
   bool sheddable;
-  /// Resolves a topology, hence routes by topology key when sharded.
-  bool needs_topology;
 };
 
 /// Table lookup; nullptr for unknown ops. "batch" is deliberately not in
@@ -122,9 +104,8 @@ json::value op_healthz(const json::value& req, const op_context& ctx);
 
 // Group membership ops (service/ops_group.cpp). Stateful: the result is a
 // deterministic function of the request and the owning group's op
-// history, so responses stay byte-identical across shard counts as long
-// as per-group request order is preserved (which routing by topology key
-// guarantees for pipelined clients).
+// history, so responses are byte-identical to any serial replay that
+// keeps each group's request order.
 json::value op_group_create(const json::value& req, const op_context& ctx);
 json::value op_group_join(const json::value& req, const op_context& ctx);
 json::value op_group_leave(const json::value& req, const op_context& ctx);
@@ -133,8 +114,7 @@ json::value op_group_list(const json::value& req, const op_context& ctx);
 
 /// The canonical scope string for a request's topology fields
 /// ("<name>:<seed>:<budget>", same defaults as resolve_topology). Group
-/// identity is (scope, group name); every host composes it identically,
-/// which is what keeps group state portable between monolith and shards.
+/// identity is (scope, group name).
 std::string group_scope(const json::value& req, const op_context& ctx);
 
 // --- shared request plumbing -------------------------------------------
@@ -160,71 +140,5 @@ using run_fn =
     std::function<json::value(const std::string& op, const json::value& req)>;
 json::value response_document(const json::value& req,
                               const run_fn& run) noexcept;
-
-// --- batch envelope ----------------------------------------------------
-//
-//   {"op":"batch","id":7,"ops":[{"op":"lmhat",...},{"op":"healthz"}]}
-//   → {"id":7,"ok":true,"op":"batch","result":{"count":2,"ok_count":2,
-//      "error_count":0,"results":[<full response doc>, ...]}}
-//
-// Sub-op documents are exactly the lines the same requests would get
-// standalone, in request order; one bad sub-op never fails the envelope
-// (its slot carries the typed error instead). Envelopes must not nest.
-
-/// Validates the envelope's "ops" member: present, an array, non-empty,
-/// at most limits.max_batch_ops entries. Returns the array.
-const json::value& batch_subops(const json::value& req,
-                                const service_limits& limits);
-
-/// The response document for one batch slot: non-objects get a typed
-/// bad_request doc, objects run through response_document(sub, run).
-/// Each slot is wrapped in a "batch.subop" span. A non-empty
-/// `parent_trace` (the envelope's token) is inherited by slots that lack
-/// their own "trace", so per-slot errors correlate to the parent request.
-json::value subop_document(const json::value& sub, const run_fn& run) noexcept;
-json::value subop_document(const json::value& sub, const run_fn& run,
-                           const std::string& parent_trace) noexcept;
-
-/// Throws the canonical bad_request for a nested "batch" sub-op. Both
-/// services call this from their sub-op runner so the message matches.
-void reject_nested_batch(const std::string& op);
-
-/// Assembles the envelope's result payload from per-slot response docs
-/// (already in request order).
-json::value make_batch_result(std::vector<json::value>&& docs);
-
-// --- lm_estimate scatter/gather ----------------------------------------
-//
-// The Monte-Carlo measurement is a fold over independent source tasks, so
-// a sharded host can run disjoint source ranges on different shards and
-// splice the un-merged per-source blocks back in index order — the exact
-// accumulation sequence of the serial path, hence byte-identical rows
-// (core/runner.hpp, mc_cell). plan → run (per range) → splice → render.
-
-struct lm_plan {
-  std::shared_ptr<const graph> g;
-  std::string model;  ///< "distinct" | "replacement"
-  bool distinct = true;
-  std::vector<std::uint64_t> grid;
-  monte_carlo_params mc;
-};
-
-/// Full request validation + topology resolution, on the calling thread.
-/// Everything op_lm_estimate checks, checked once before any scatter.
-lm_plan plan_lm_estimate(const json::value& req, const op_context& ctx);
-
-/// Accumulator blocks for source tasks [begin, end) of the plan.
-std::vector<std::vector<mc_cell>> run_lm_sources(const lm_plan& plan,
-                                                 std::size_t begin,
-                                                 std::size_t end);
-
-/// The Eq 4 closed-form rows used when the op is degraded under load
-/// (samples = 0 marks every row as model-derived).
-std::vector<scaling_point> lm_closed_form(const lm_plan& plan);
-
-/// The op's result payload from spliced rows.
-json::value render_lm_estimate(const lm_plan& plan,
-                               const std::vector<scaling_point>& points,
-                               bool degraded);
 
 }  // namespace mcast::service

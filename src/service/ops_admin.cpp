@@ -1,6 +1,5 @@
 // metrics / healthz — live server and registry state. Exempt from the
-// byte-identity guarantee (tests compare only their ok status): a sharded
-// host adds a per-shard "shards" array through ctx.shard_metrics.
+// byte-identity guarantee (tests compare only their ok status).
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -34,7 +33,6 @@ json::value op_metrics(const json::value& req, const op_context& ctx) {
   json::value result = json::value::object();
   result.set("uptime_seconds", num(uptime_seconds(ctx, stats)));
   result.set("server", std::move(server));
-  if (ctx.shard_metrics) result.set("shards", ctx.shard_metrics());
   result.set("metrics", obs::metrics_to_json(obs::snapshot()));
   return result;
 }

@@ -1,21 +1,31 @@
 // lm_estimate — Monte-Carlo L(m)/L̂(n) over a catalog topology.
 //
-// Split into plan (validate + resolve, on the routing thread), run (the
-// source-range fold, wherever the host wants it), and render (rows + the
-// Chuang-Sirbu fit). The serial path below and the sharded scatter path
-// (shard_router.cpp) are compositions of the same three stages over the
-// same per-source blocks, so their result payloads are byte-identical.
+// Validates the request, runs the measurement engine (core/runner.hpp) or,
+// when degraded, the Eq 4 closed form, and renders the rows plus the
+// Chuang-Sirbu fit.
 #include <cmath>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "analysis/reachability.hpp"
+#include "core/runner.hpp"
 #include "core/scaling_law.hpp"
 #include "service/ops.hpp"
 
 namespace mcast::service {
 
 namespace {
+
+// A validated request: the resolved topology, receiver model, group-size
+// grid and Monte-Carlo parameters.
+struct lm_plan {
+  std::shared_ptr<const graph> g;
+  std::string model;  ///< "distinct" | "replacement"
+  bool distinct = true;
+  std::vector<std::uint64_t> grid;
+  monte_carlo_params mc;
+};
 
 json::value point_row(const scaling_point& p) {
   json::value row = json::value::object();
@@ -28,8 +38,6 @@ json::value point_row(const scaling_point& p) {
   row.set("samples", num_u(p.samples));
   return row;
 }
-
-}  // namespace
 
 lm_plan plan_lm_estimate(const json::value& req, const op_context& ctx) {
   static const char* const allowed[] = {
@@ -100,16 +108,6 @@ lm_plan plan_lm_estimate(const json::value& req, const op_context& ctx) {
   return plan;
 }
 
-std::vector<std::vector<mc_cell>> run_lm_sources(const lm_plan& plan,
-                                                 std::size_t begin,
-                                                 std::size_t end) {
-  return plan.distinct
-             ? measure_sources_distinct(*plan.g, plan.grid, plan.mc, begin,
-                                        end)
-             : measure_sources_with_replacement(*plan.g, plan.grid, plan.mc,
-                                                begin, end);
-}
-
 std::vector<scaling_point> lm_closed_form(const lm_plan& plan) {
   // Under pressure: answer from the Chuang-Sirbu closed form (Eq 4),
   // L(m) ≈ ū·m^0.8, with ū from a single BFS instead of the full
@@ -166,12 +164,15 @@ json::value render_lm_estimate(const lm_plan& plan,
   return result;
 }
 
+}  // namespace
+
 json::value op_lm_estimate(const json::value& req, const op_context& ctx,
                            bool degraded) {
   const lm_plan plan = plan_lm_estimate(req, ctx);
   if (degraded) return render_lm_estimate(plan, lm_closed_form(plan), true);
-  const std::vector<scaling_point> points = splice_source_cells(
-      plan.grid, run_lm_sources(plan, 0, plan.mc.sources));
+  const std::vector<scaling_point> points =
+      plan.distinct ? measure_distinct_receivers(*plan.g, plan.grid, plan.mc)
+                    : measure_with_replacement(*plan.g, plan.grid, plan.mc);
   return render_lm_estimate(plan, points, false);
 }
 

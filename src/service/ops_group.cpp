@@ -4,11 +4,10 @@
 // request: the result depends on the owning group's op history. The
 // byte-identity story therefore shifts one level up — a group's state is
 // a pure function of the op sequence applied to it, groups are keyed by
-// (topology scope, name) and routed to exactly one shard, and pipelined
-// clients see their own ops applied in order. Concurrent clients mutating
+// (topology scope, name) in one manager, and pipelined clients see their
+// own ops applied in order. Concurrent clients mutating
 // disjoint groups thus get responses byte-identical to any serial replay
 // of their per-connection sequences (tests/test_service_group.cpp).
-#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,9 +19,8 @@ namespace mcast::service {
 
 namespace {
 
-// The group ops always run on a context with live group state: inline on
-// the monolith, on the owning shard when sharded. A null manager means a
-// host wiring bug, not a client error.
+// The group ops always run on a context with live group state. A null
+// manager means a host wiring bug, not a client error.
 group_manager& manager_of(const op_context& ctx) {
   if (ctx.groups == nullptr) {
     throw request_error(error_code::internal_error,
@@ -227,18 +225,8 @@ json::value op_group_list(const json::value& req, const op_context& ctx) {
   reject_unknown_keys(req, allowed);
   obs::add(obs::counter::svc_group_lists);
 
-  std::vector<group_snapshot> snaps;
-  if (ctx.group_list_all) {
-    snaps = ctx.group_list_all();
-  } else if (ctx.groups != nullptr) {
-    snaps = ctx.groups->list();
-  }
-  // Hosts collect per-manager lists that are each sorted; the merged view
-  // re-sorts so the rendering is independent of shard count and layout.
-  std::sort(snaps.begin(), snaps.end(),
-            [](const group_snapshot& a, const group_snapshot& b) {
-              return a.scope != b.scope ? a.scope < b.scope : a.name < b.name;
-            });
+  // list() is already in (scope, name) order, the rendering order.
+  const std::vector<group_snapshot> snaps = manager_of(ctx).list();
 
   json::value rows = json::value::array();
   for (const group_snapshot& snap : snaps) {

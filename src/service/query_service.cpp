@@ -2,13 +2,94 @@
 
 #include <chrono>
 #include <utility>
+#include <string>
 #include <vector>
 
 #include "obs/access_log.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "topo/cache.hpp"
 
 namespace mcast::service {
+
+namespace {
+
+// --- batch envelope ----------------------------------------------------
+//
+//   {"op":"batch","id":7,"ops":[{"op":"lmhat",...},{"op":"healthz"}]}
+//   → {"id":7,"ok":true,"op":"batch","result":{"count":2,"ok_count":2,
+//      "error_count":0,"results":[<full response doc>, ...]}}
+//
+// Sub-op documents are exactly the lines the same requests would get
+// standalone, in request order; one bad sub-op never fails the envelope
+// (its slot carries the typed error instead). Envelopes must not nest.
+
+/// Validates the envelope's "ops" member: present, an array, non-empty,
+/// at most limits.max_batch_ops entries. Returns the array.
+const json::value& batch_subops(const json::value& req,
+                                const service_limits& limits) {
+  const json::value& ops = require_member(req, "ops");
+  if (!ops.is(json::value::kind::array)) {
+    throw request_error(error_code::bad_request,
+                        "field 'ops' must be an array of requests");
+  }
+  if (ops.items().empty()) {
+    throw request_error(error_code::bad_request,
+                        "field 'ops' must not be empty");
+  }
+  if (ops.items().size() > limits.max_batch_ops) {
+    throw request_error(error_code::limit_exceeded,
+                        "field 'ops' exceeds the service cap of " +
+                            std::to_string(limits.max_batch_ops) +
+                            " sub-ops");
+  }
+  return ops;
+}
+
+/// The response document for one batch slot: non-objects get a typed
+/// bad_request doc, objects run through response_document(sub, run).
+/// Each slot is wrapped in a "batch.subop" span.
+json::value subop_document(const json::value& sub, const run_fn& run,
+                           const std::string& parent_trace) noexcept {
+  obs::span subop_span("batch.subop");
+  if (!sub.is(json::value::kind::object)) {
+    return error_document(error_code::bad_request,
+                          "batch sub-op must be a JSON object",
+                          json::value(), parent_trace);
+  }
+  // Slots without their own token inherit the envelope's, so per-slot
+  // typed errors still correlate to the parent request client-side. A
+  // slot that sets one keeps it (and its document stays byte-for-byte
+  // the standalone response).
+  if (!parent_trace.empty() && sub.get("trace") == nullptr) {
+    json::value copy = sub;
+    copy.set("trace", json::value::string(parent_trace));
+    return response_document(copy, run);
+  }
+  return response_document(sub, run);
+}
+
+/// Assembles the envelope's result payload from per-slot response docs
+/// (already in request order).
+json::value make_batch_result(std::vector<json::value>&& docs) {
+  std::size_t ok_count = 0;
+  json::value results = json::value::array();
+  for (json::value& doc : docs) {
+    const json::value* ok = doc.get("ok");
+    if (ok != nullptr && ok->is(json::value::kind::boolean) && ok->as_bool()) {
+      ++ok_count;
+    }
+    results.push(std::move(doc));
+  }
+  json::value result = json::value::object();
+  result.set("count", num_u(docs.size()));
+  result.set("ok_count", num_u(ok_count));
+  result.set("error_count", num_u(docs.size() - ok_count));
+  result.set("results", std::move(results));
+  return result;
+}
+
+}  // namespace
 
 query_service::query_service(service_limits limits) {
   ctx_.limits = limits;
@@ -16,8 +97,7 @@ query_service::query_service(service_limits limits) {
                     node_id budget) {
     return shared_topology_cache().get(name, seed, budget);
   };
-  // One manager holds every live group; group_list falls back to its
-  // list(), so no group_list_all merge hook is needed on the monolith.
+  // One manager holds every live group.
   ctx_.groups = std::make_shared<group_manager>();
 }
 
@@ -96,9 +176,7 @@ json::value query_service::run_batch(const json::value& req) {
   const std::string parent_trace = trace_token(req);
   obs::add(obs::counter::svc_batch_requests);
 
-  // Serial reference semantics: sub-ops run in request order on this
-  // thread. The sharded host scatters the same slots and splices the same
-  // documents back in slot order (shard_router.cpp).
+  // Sub-ops run serially in request order on this thread.
   std::vector<json::value> docs;
   docs.reserve(ops.items().size());
   for (const json::value& sub : ops.items()) {
@@ -106,7 +184,10 @@ json::value query_service::run_batch(const json::value& req) {
     docs.push_back(subop_document(
         sub,
         [this](const std::string& op, const json::value& r) {
-          reject_nested_batch(op);
+          if (op == "batch") {
+            throw request_error(error_code::bad_request,
+                                "batch must not contain a nested batch");
+          }
           return dispatch(op, r);
         },
         parent_trace));

@@ -1,5 +1,4 @@
-// query_service — the single-shard request dispatcher behind
-// `mcast_lab serve`.
+// query_service — the request dispatcher behind `mcast_lab serve`.
 //
 // handle() maps one request line to one response line and never throws:
 // every failure mode is a typed error line (service/protocol.hpp). The
@@ -13,10 +12,9 @@
 //
 // The handler bodies live in service/ops.hpp behind a dispatch table; this
 // class runs every op inline on the calling thread (including batch
-// sub-ops, serially in request order) and resolves topologies through the
-// process-wide content-keyed cache. The sharded host
-// (service/shard_router.hpp) dispatches through the same table, which is
-// what the byte-identity tests between the two paths lean on.
+// sub-ops, serially in request order), resolves topologies through the
+// process-wide content-keyed cache and keeps every group in one
+// group_manager.
 #pragma once
 
 #include <functional>

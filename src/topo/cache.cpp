@@ -1,9 +1,9 @@
 #include "topo/cache.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <functional>
 #include <utility>
+#include <vector>
 
 #include "common/contract.hpp"
 #include "graph/components.hpp"
@@ -12,17 +12,6 @@
 
 namespace mcast {
 
-namespace {
-
-std::uint64_t splitmix64_mix(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
 graph build_catalog_topology(const std::string& name, std::uint64_t seed,
                              node_id budget) {
   network_entry entry = find_network(name);
@@ -30,18 +19,6 @@ graph build_catalog_topology(const std::string& name, std::uint64_t seed,
     entry = scaled_networks(std::vector<network_entry>{entry}, budget)[0];
   }
   return largest_component(entry.build(seed));
-}
-
-std::uint64_t topology_routing_hash(const topology_key& k) noexcept {
-  // FNV-1a over the name bytes; seed/budget folded in through splitmix64 so
-  // nearby values land far apart on the ring.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : k.name) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  h = splitmix64_mix(h ^ splitmix64_mix(k.seed));
-  return splitmix64_mix(h ^ splitmix64_mix(k.budget));
 }
 
 std::size_t topology_key_hash::operator()(
@@ -142,67 +119,6 @@ topology_cache::cache_stats topology_cache::stats() const {
 topology_cache& shared_topology_cache() {
   static topology_cache cache(16);
   return cache;
-}
-
-void warm_topology_tier::populate(const std::vector<topology_key>& keys) {
-  for (const topology_key& k : keys) {
-    {
-      std::shared_lock<std::shared_mutex> read(mutex_);
-      if (entries_.find(k) != entries_.end()) continue;
-    }
-    // Build outside the lock: warm graphs can take seconds (Internet at
-    // native size) and readers of already-warm entries must not stall.
-    auto built = std::make_shared<const graph>(
-        build_catalog_topology(k.name, k.seed, k.budget));
-    std::unique_lock<std::shared_mutex> write(mutex_);
-    entries_.emplace(k, std::move(built));
-    obs::gauge_max(obs::gauge::topo_cache_warm_entries, entries_.size());
-  }
-}
-
-std::shared_ptr<const graph> warm_topology_tier::find(const std::string& name,
-                                                      std::uint64_t seed,
-                                                      node_id budget) const {
-  const topology_key k{name, seed, budget};
-  std::shared_lock<std::shared_mutex> read(mutex_);
-  auto it = entries_.find(k);
-  if (it == entries_.end()) return nullptr;
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  obs::add(obs::counter::topo_cache_warm_hits);
-  return it->second;
-}
-
-std::size_t warm_topology_tier::size() const {
-  std::shared_lock<std::shared_mutex> read(mutex_);
-  return entries_.size();
-}
-
-std::uint64_t warm_topology_tier::hits() const {
-  return hits_.load(std::memory_order_relaxed);
-}
-
-std::vector<topology_key> warm_topology_tier::keys() const {
-  std::shared_lock<std::shared_mutex> read(mutex_);
-  std::vector<topology_key> out;
-  out.reserve(entries_.size());
-  for (const auto& [k, g] : entries_) out.push_back(k);
-  std::sort(out.begin(), out.end(),
-            [](const topology_key& a, const topology_key& b) {
-              return topology_routing_hash(a) < topology_routing_hash(b);
-            });
-  return out;
-}
-
-tiered_topology_cache::tiered_topology_cache(const warm_topology_tier* warm,
-                                             std::size_t lru_capacity)
-    : warm_(warm), lru_(lru_capacity) {}
-
-std::shared_ptr<const graph> tiered_topology_cache::get(
-    const std::string& name, std::uint64_t seed, node_id budget) {
-  if (warm_ != nullptr) {
-    if (auto g = warm_->find(name, seed, budget)) return g;
-  }
-  return lru_.get(name, seed, budget);
 }
 
 }  // namespace mcast

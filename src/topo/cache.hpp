@@ -23,23 +23,19 @@
 // `topo_cache.*` record hits/misses/evictions and build latency.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <condition_variable>
-#include <shared_mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "graph/graph.hpp"
 
 namespace mcast {
 
 /// The identity of one cached topology: the build rule is a pure function
-/// of this triple, so it doubles as the routing key of the service's
-/// consistent-hash ring (service/shard_router.hpp).
+/// of this triple.
 struct topology_key {
   std::string name;
   std::uint64_t seed = 0;
@@ -51,13 +47,7 @@ struct topology_key_hash {
   std::size_t operator()(const topology_key& k) const noexcept;
 };
 
-/// Stable 64-bit hash of a topology key, identical across processes, runs
-/// and standard libraries (FNV-1a over the name bytes, splitmix64-mixed
-/// with seed and budget). std::hash gives no such guarantee, and the shard
-/// ring needs placement to be reproducible — tests assert it.
-std::uint64_t topology_routing_hash(const topology_key& k) noexcept;
-
-/// The canonical build rule shared by every tier: find_network(name),
+/// The canonical build rule behind every cache entry: find_network(name),
 /// scaled to `budget` nodes when budget > 0, built at `seed`, reduced to
 /// its largest component. Throws std::invalid_argument for unknown names
 /// and budgets scaled_networks rejects (0 < budget < 64).
@@ -113,58 +103,5 @@ class topology_cache {
 /// Capacity 16 — the full paper suite (8 networks x {native, one scaled
 /// tier}) fits without eviction.
 topology_cache& shared_topology_cache();
-
-/// Read-mostly warm tier: catalog graphs built once, up front, and shared
-/// immutably by every shard. populate() is the only writer; after it
-/// returns, find() takes a shared lock and never blocks on a build, so the
-/// hot serving path for the standard networks is contention-free. Lookups
-/// that hit count `topo_cache.warm_hits`; the entry count is published on
-/// the `topo_cache.warm_entries` gauge.
-class warm_topology_tier {
- public:
-  /// Builds every key not already present (duplicate keys are built once).
-  /// Throws on unknown names / bad budgets — a warm spec typo should fail
-  /// startup loudly, not silently degrade to cold builds.
-  void populate(const std::vector<topology_key>& keys);
-
-  /// The warm graph for the key, or nullptr when the key was never warmed.
-  std::shared_ptr<const graph> find(const std::string& name,
-                                    std::uint64_t seed,
-                                    node_id budget = 0) const;
-
-  std::size_t size() const;
-  std::uint64_t hits() const;
-  /// The warmed keys, sorted by routing hash — handy for diagnostics.
-  std::vector<topology_key> keys() const;
-
- private:
-  mutable std::shared_mutex mutex_;
-  std::unordered_map<topology_key, std::shared_ptr<const graph>,
-                     topology_key_hash>
-      entries_;
-  mutable std::atomic<std::uint64_t> hits_{0};
-};
-
-/// Two-tier resolver handed to each service shard: the shared warm tier
-/// (may be null) answers first, the shard's own bounded LRU takes the
-/// misses. Shards therefore never contend on the standard networks and
-/// never duplicate warm graphs in their LRU budgets; ad-hoc keys (custom
-/// seeds, scaled budgets) stay shard-local, which is what makes the
-/// consistent-hash routing pay off — a given ad-hoc key is only ever built
-/// and cached by its owning shard.
-class tiered_topology_cache {
- public:
-  explicit tiered_topology_cache(const warm_topology_tier* warm,
-                                 std::size_t lru_capacity = 16);
-
-  std::shared_ptr<const graph> get(const std::string& name,
-                                   std::uint64_t seed, node_id budget = 0);
-
-  const topology_cache& lru() const noexcept { return lru_; }
-
- private:
-  const warm_topology_tier* warm_;  // not owned; null => single-tier
-  topology_cache lru_;
-};
 
 }  // namespace mcast

@@ -1,8 +1,9 @@
 // Small fork/exec harness for tests that drive the mcast_lab binary as a
-// real process (exit-code audit, serve shutdown). POSIX-only, like the
-// rest of the networking stack.
+// real process (exit-code audit, serve shutdown), plus per-process temp
+// file names. POSIX-only, like the rest of the networking stack.
 #pragma once
 
+#include <gtest/gtest.h>
 #include <fcntl.h>
 #include <signal.h>
 #include <sys/wait.h>
@@ -121,6 +122,18 @@ inline std::string read_until(int fd, const std::string& needle,
   }
   ::fcntl(fd, F_SETFL, flags);
   return text;
+}
+
+/// `name` under the gtest temp dir, tagged with this process's pid before
+/// its extension ("good.expect" -> "good.<pid>.expect"), so test processes
+/// running at the same time never write the same file.
+inline std::string temp_path(const std::string& name) {
+  std::string dir = ::testing::TempDir();
+  if (!dir.empty() && dir.back() != '/') dir += '/';
+  const std::string tag = "." + std::to_string(::getpid());
+  const std::size_t dot = name.rfind('.');
+  if (dot == std::string::npos) return dir + name + tag;
+  return dir + name.substr(0, dot) + tag + name.substr(dot);
 }
 
 }  // namespace mcast::testproc

@@ -14,6 +14,7 @@
 #include "check/perf_gate.hpp"
 #include "check/spec.hpp"
 #include "common/json.hpp"
+#include "proc_util.hpp"
 
 namespace mcast::check {
 namespace {
@@ -118,7 +119,7 @@ TEST(check_gate, metric_new_since_baseline_passes) {
 class check_gate_cli : public ::testing::Test {
  protected:
   std::string path(const char* name) const {
-    return ::testing::TempDir() + "check_gate_" + name;
+    return testproc::temp_path(std::string("check_gate_") + name);
   }
 
   std::string write(const char* name, const std::string& text) const {

@@ -354,7 +354,7 @@ TEST(check_trace, malformed_events_throw_with_index) {
 #ifdef MCAST_LAB_BIN
 
 std::string temp_path(const char* name) {
-  return ::testing::TempDir() + std::string("check_trace_") + name;
+  return testproc::temp_path(std::string("check_trace_") + name);
 }
 
 void write_file(const std::string& path, const std::string& text) {

@@ -1,10 +1,13 @@
-// Exit-code audit for the mcast_lab CLI, against the real binary: every
-// error path must return non-zero AND say why on stderr; the happy paths
-// stay 0. The scripts and CI jobs that chain `mcast_lab run && mcast_lab
-// validate` depend on these codes. MCAST_LAB_BIN comes from CMake.
+// Exit-code audit for the mcast_lab CLI and the svc_load bench driver,
+// against the real binaries: every error path must return non-zero AND
+// say why on stderr; the happy paths stay 0. The scripts and CI jobs that
+// chain `mcast_lab run && mcast_lab validate` depend on these codes.
+// MCAST_LAB_BIN and SVC_LOAD_BIN come from CMake.
 #include <gtest/gtest.h>
 
 #include <csignal>
+#include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -165,6 +168,27 @@ TEST(cli_exit_codes, query_typed_server_error_is_2) {
   ASSERT_EQ(::kill(server.pid, SIGTERM), 0);
   const run_result r = finish(server);
   EXPECT_EQ(r.exit_code, 0) << r.err;
+}
+
+TEST(cli_exit_codes, svc_load_bad_flag_is_1) {
+  const run_result r = run(SVC_LOAD_BIN, {"--frobnicate"});
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_FALSE(r.err.empty());
+}
+
+TEST(cli_exit_codes, svc_load_out_naming_a_file_is_2) {
+  // --out names the artifact directory. A regular file there is an I/O
+  // failure with its own exit code, reported before any load runs.
+  const std::string file = testproc::temp_path("svc_load_out.txt");
+  { std::ofstream(file) << "not a directory\n"; }
+  const run_result r =
+      run(SVC_LOAD_BIN, {"--out=" + file, "--connections=1", "--requests=1",
+                         "--skip-overload-probe"});
+  EXPECT_EQ(r.exit_code, 2) << r.err;
+  EXPECT_NE(r.err.find("not an existing directory"), std::string::npos)
+      << r.err;
+  EXPECT_EQ(r.term_signal, 0) << "svc_load must exit, not abort";
+  std::remove(file.c_str());
 }
 
 TEST(cli_exit_codes, list_succeeds) {

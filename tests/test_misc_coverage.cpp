@@ -12,6 +12,7 @@
 #include "multicast/affinity.hpp"
 #include "multicast/receivers.hpp"
 #include "topo/waxman.hpp"
+#include "proc_util.hpp"
 
 namespace mcast {
 namespace {
@@ -48,7 +49,7 @@ TEST(misc, edge_list_file_round_trip) {
   graph original = make_waxman(p, 9);
   original.set_name("file-fixture");
 
-  const std::string path = ::testing::TempDir() + "/mcast_io_fixture.txt";
+  const std::string path = testproc::temp_path("mcast_io_fixture.txt");
   {
     std::ofstream out(path);
     ASSERT_TRUE(out.good());
@@ -62,7 +63,7 @@ TEST(misc, edge_list_file_round_trip) {
 }
 
 TEST(misc, load_edge_list_default_name_is_path) {
-  const std::string path = ::testing::TempDir() + "/mcast_io_named.txt";
+  const std::string path = testproc::temp_path("mcast_io_named.txt");
   {
     std::ofstream out(path);
     out << "2\n0 1\n";

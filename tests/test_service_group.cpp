@@ -1,12 +1,12 @@
 // Loopback integration tests for the stateful group_* service ops:
-//   * concurrent clients churning disjoint groups against a 4-shard core
+//   * concurrent clients churning disjoint groups through a line_server
 //     over real sockets — every response byte-identical to a serial
-//     replay through a 1-shard core and the flat query_service, and the
-//     merged group_list renders identically at every shard count;
-//   * a group op after shutdown gets the typed overloaded error;
+//     replay through a fresh query_service, and group_list renders the
+//     same bytes after both;
 //   * unknown groups / precondition failures are bad_request, never
 //     internal_error;
-//   * batch envelopes carry group ops unchanged at any shard count.
+//   * batch envelopes carry group ops: each slot is the standalone
+//     response of the same op sequence.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,7 +21,6 @@
 #include "obs/metrics.hpp"
 #include "service/protocol.hpp"
 #include "service/query_service.hpp"
-#include "service/shard_router.hpp"
 
 namespace mcast::service {
 namespace {
@@ -73,7 +72,7 @@ std::vector<std::string> roundtrip(std::uint16_t port,
 
 /// One client's op sequence against its own group. Each client gets a
 /// distinct topology_seed, so its groups live in a distinct scope
-/// ("ARPA:<c>:0") — disjoint state, spread across the shard ring.
+/// ("ARPA:<c>:0") — disjoint state in the one group manager.
 std::vector<std::string> client_requests(int c) {
   const std::string t =
       "\"topology\":\"ARPA\",\"topology_seed\":" + std::to_string(c);
@@ -94,9 +93,7 @@ std::vector<std::string> client_requests(int c) {
 
 TEST(service_group, concurrent_disjoint_groups_match_serial_replay) {
   obs::reset_metrics();
-  sharded_config config;
-  config.shards = 4;
-  auto svc = std::make_shared<sharded_service>(config);
+  auto svc = std::make_shared<query_service>();
   line_server server(
       service_config(4, 64),
       [svc](const std::string& line) { return svc->handle(line); });
@@ -119,7 +116,7 @@ TEST(service_group, concurrent_disjoint_groups_match_serial_replay) {
   for (int c = 0; c < kClients; ++c) {
     ASSERT_EQ(responses[c].size(), requests[c].size()) << "client " << c;
   }
-  // The merged listing, rendered while the 4-shard core is live.
+  // The listing, rendered while the served instance is live.
   const std::string live_list = svc->handle("{\"op\":\"group_list\"}");
 
   const obs::metrics_snapshot snap = obs::snapshot();
@@ -137,53 +134,24 @@ TEST(service_group, concurrent_disjoint_groups_match_serial_replay) {
   }
 
   // Byte-identity: every response must replay bit-for-bit through a fresh
-  // 1-shard core and the flat (unsharded) service, driven serially —
-  // group state is a pure function of the per-group op sequence, so the
-  // concurrent interleaving above must not be observable.
-  sharded_config one_config;
-  one_config.shards = 1;
-  sharded_service one_shard(one_config);
-  query_service flat;
+  // query_service driven serially — group state is a pure function of the
+  // per-group op sequence, so the concurrent interleaving above must not
+  // be observable.
+  query_service replay;
   for (int c = 0; c < kClients; ++c) {
     for (std::size_t i = 0; i < requests[c].size(); ++i) {
-      EXPECT_EQ(responses[c][i], one_shard.handle(requests[c][i]))
-          << "client " << c << " request " << i << " vs 1-shard";
-      EXPECT_EQ(responses[c][i], flat.handle(requests[c][i]))
-          << "client " << c << " request " << i << " vs flat";
+      EXPECT_EQ(responses[c][i], replay.handle(requests[c][i]))
+          << "client " << c << " request " << i;
     }
   }
-  // The listing is shard-layout independent: the 4-shard merge renders
-  // the same bytes as the 1-shard core and the monolith.
-  EXPECT_EQ(live_list, one_shard.handle("{\"op\":\"group_list\"}"));
-  EXPECT_EQ(live_list, flat.handle("{\"op\":\"group_list\"}"));
+  EXPECT_EQ(live_list, replay.handle("{\"op\":\"group_list\"}"));
 
   server.shutdown();
   server.wait();
-  svc->shutdown();
-  one_shard.shutdown();
-}
-
-TEST(service_group, group_op_after_shutdown_gets_typed_overloaded_error) {
-  sharded_config config;
-  config.shards = 2;
-  sharded_service svc(config);
-  const std::string create = svc.handle(
-      "{\"op\":\"group_create\",\"topology\":\"ARPA\",\"group\":\"g\"}");
-  EXPECT_NE(create.find("\"ok\":true"), std::string::npos) << create;
-
-  svc.shutdown();
-  const std::string join = svc.handle(
-      "{\"op\":\"group_join\",\"topology\":\"ARPA\",\"group\":\"g\","
-      "\"site\":3}");
-  EXPECT_NE(join.find("\"ok\":false"), std::string::npos) << join;
-  EXPECT_NE(join.find("overloaded"), std::string::npos) << join;
 }
 
 TEST(service_group, precondition_failures_are_bad_request) {
   query_service flat;
-  sharded_config config;
-  config.shards = 2;
-  sharded_service sharded(config);
 
   const std::vector<std::string> bad = {
       // Unknown group: stats, join, leave.
@@ -201,11 +169,10 @@ TEST(service_group, precondition_failures_are_bad_request) {
       "\"core_seed\":3}",
   };
   for (const std::string& r : bad) {
-    for (std::string resp : {flat.handle(r), sharded.handle(r)}) {
-      EXPECT_NE(resp.find("\"ok\":false"), std::string::npos) << r;
-      EXPECT_NE(resp.find("bad_request"), std::string::npos) << resp;
-      EXPECT_EQ(resp.find("internal_error"), std::string::npos) << resp;
-    }
+    const std::string resp = flat.handle(r);
+    EXPECT_NE(resp.find("\"ok\":false"), std::string::npos) << r;
+    EXPECT_NE(resp.find("bad_request"), std::string::npos) << resp;
+    EXPECT_EQ(resp.find("internal_error"), std::string::npos) << resp;
   }
 
   // Stateful preconditions: duplicate create, site joined out of range,
@@ -225,37 +192,41 @@ TEST(service_group, precondition_failures_are_bad_request) {
     EXPECT_NE(resp.find("bad_request"), std::string::npos) << resp;
     EXPECT_EQ(resp.find("internal_error"), std::string::npos) << resp;
   }
-  sharded.shutdown();
 }
 
-TEST(service_group, batch_envelope_carries_group_ops_at_any_shard_count) {
+TEST(service_group, batch_envelope_slots_match_standalone_group_ops) {
   // One batch that creates a shared-tree group, mutates it, reads it back
-  // and trips on an unknown op: the envelope must splice the same slot
-  // bytes out of the monolith, a 1-shard core and a 4-shard core.
-  const std::string batch =
-      "{\"op\":\"batch\",\"id\":\"gb\",\"ops\":["
+  // and trips on an unknown op: each slot must carry the bytes the same
+  // op gets standalone, in the same order, on a fresh service.
+  const std::vector<std::string> subs = {
       "{\"op\":\"group_create\",\"topology\":\"ARPA\",\"group\":\"b\","
       "\"mode\":\"shared\",\"core_strategy\":\"degree_center\","
-      "\"core_seed\":5},"
+      "\"core_seed\":5}",
       "{\"op\":\"group_join\",\"topology\":\"ARPA\",\"group\":\"b\","
-      "\"site\":9,\"count\":3},"
-      "{\"op\":\"group_stats\",\"topology\":\"ARPA\",\"group\":\"b\"},"
-      "{\"op\":\"nosuch\"},"
+      "\"site\":9,\"count\":3}",
+      "{\"op\":\"group_stats\",\"topology\":\"ARPA\",\"group\":\"b\"}",
+      "{\"op\":\"nosuch\"}",
       "{\"op\":\"group_leave\",\"topology\":\"ARPA\",\"group\":\"b\","
-      "\"site\":9},"
-      "{\"op\":\"group_list\"}]}";
+      "\"site\":9}",
+      "{\"op\":\"group_list\"}",
+  };
+  std::string batch = "{\"op\":\"batch\",\"id\":\"gb\",\"ops\":[";
+  for (std::size_t i = 0; i < subs.size(); ++i) {
+    batch += (i == 0 ? "" : ",") + subs[i];
+  }
+  batch += "]}";
 
-  query_service flat;
-  const std::string expected = flat.handle(batch);
-  EXPECT_NE(expected.find("\"ok\":true"), std::string::npos) << expected;
+  query_service batched;
+  const json::value doc = json::parse(batched.handle(batch));
+  ASSERT_TRUE(doc.get("ok")->as_bool());
+  const std::vector<json::value>& slots =
+      doc.get("result")->get("results")->items();
+  ASSERT_EQ(slots.size(), subs.size());
 
-  for (const std::size_t shards :
-       {std::size_t{1}, std::size_t{4}}) {
-    sharded_config config;
-    config.shards = shards;
-    sharded_service svc(config);
-    EXPECT_EQ(svc.handle(batch), expected) << shards << " shard(s)";
-    svc.shutdown();
+  query_service standalone;
+  for (std::size_t i = 0; i < subs.size(); ++i) {
+    EXPECT_EQ(json::dump_compact(slots[i]), standalone.handle(subs[i]))
+        << "slot " << i;
   }
 }
 

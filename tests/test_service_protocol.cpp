@@ -4,7 +4,9 @@
 //   * per-request limits surface as limit_exceeded;
 //   * deterministic ops are byte-identical across service instances,
 //     repeated calls, and Monte-Carlo thread counts;
-//   * response framing is single-line JSON with the id echoed.
+//   * response framing is single-line JSON with the id echoed;
+//   * batch envelopes: sub-op documents byte-identical to standalone
+//     responses, per-slot typed errors, nested-batch and cap rejections.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -200,6 +202,65 @@ TEST(service_protocol, metrics_and_healthz_report_without_stats_source) {
   ASSERT_TRUE(is_ok(metrics)) << metrics;
   EXPECT_NE(metrics.find("\"server\""), std::string::npos);
   EXPECT_NE(metrics.find("\"metrics\""), std::string::npos);
+}
+
+// --- batch envelope ----------------------------------------------------
+
+TEST(batch_envelope, subop_documents_match_standalone_responses) {
+  query_service svc;
+  const std::string sub_a = "{\"op\":\"lmhat\",\"k\":3,\"depth\":4,\"n\":[1,10],\"id\":\"a\"}";
+  const std::string sub_b =
+      "{\"op\":\"reachability\",\"topology\":\"ARPA\",\"source\":2,"
+      "\"id\":\"b\"}";
+  const std::string sub_c = "{\"op\":\"nosuch\",\"id\":\"c\"}";
+  const std::string batch =
+      "{\"op\":\"batch\",\"id\":\"env\",\"ops\":[" + sub_a + "," + sub_b +
+      "," + sub_c + "]}";
+
+  const json::value doc = json::parse(svc.handle(batch));
+  ASSERT_TRUE(doc.get("ok")->as_bool());
+  EXPECT_EQ(doc.get("id")->as_string(), "env");
+  const json::value* result = doc.get("result");
+  ASSERT_NE(result, nullptr);
+  EXPECT_EQ(result->get("count")->as_number(), 3.0);
+  EXPECT_EQ(result->get("ok_count")->as_number(), 2.0);
+  EXPECT_EQ(result->get("error_count")->as_number(), 1.0);
+  const std::vector<json::value>& results = result->get("results")->items();
+  ASSERT_EQ(results.size(), 3u);
+  // Each slot is byte-identical to the standalone response line.
+  EXPECT_EQ(json::dump_compact(results[0]), svc.handle(sub_a));
+  EXPECT_EQ(json::dump_compact(results[1]), svc.handle(sub_b));
+  EXPECT_EQ(json::dump_compact(results[2]), svc.handle(sub_c));
+  EXPECT_FALSE(results[2].get("ok")->as_bool());
+}
+
+TEST(batch_envelope, rejects_nesting_missing_ops_and_oversize) {
+  query_service svc;
+  const std::string nested =
+      "{\"op\":\"batch\",\"ops\":[{\"op\":\"batch\",\"ops\":[]}]}";
+  const json::value doc = json::parse(svc.handle(nested));
+  ASSERT_TRUE(doc.get("ok")->as_bool());  // envelope ok, slot failed
+  const std::vector<json::value>& results =
+      doc.get("result")->get("results")->items();
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_FALSE(results[0].get("ok")->as_bool());
+  EXPECT_EQ(results[0].get("error")->get("code")->as_string(), "bad_request");
+
+  const json::value missing = json::parse(svc.handle("{\"op\":\"batch\"}"));
+  EXPECT_FALSE(missing.get("ok")->as_bool());
+  const json::value empty =
+      json::parse(svc.handle("{\"op\":\"batch\",\"ops\":[]}"));
+  EXPECT_FALSE(empty.get("ok")->as_bool());
+
+  std::string big = "{\"op\":\"batch\",\"ops\":[";
+  for (std::size_t i = 0; i <= svc.limits().max_batch_ops; ++i) {
+    if (i > 0) big += ",";
+    big += "{\"op\":\"healthz\"}";
+  }
+  big += "]}";
+  const json::value capped = json::parse(svc.handle(big));
+  EXPECT_FALSE(capped.get("ok")->as_bool());
+  EXPECT_EQ(capped.get("error")->get("code")->as_string(), "limit_exceeded");
 }
 
 }  // namespace

@@ -4,15 +4,19 @@
 //     latency split, byte counts, outcome, and the client "trace" token;
 //   * the slow-query threshold flags records and feeds svc.access.slow;
 //   * shed refusals produce shed-tagged records with the typed outcome;
-//   * batch sub-op and scatter/shard spans carry their parent request's
-//     trace id across worker lanes (the property `same_trace` rules check);
+//   * a connection queued behind a busy worker logs its queue wait on its
+//     first request's record, and 0 on later ones;
+//   * batch sub-op spans carry their parent request's trace id (the
+//     property `same_trace` rules check);
 //   * responses from a traced, access-logged 8-client run are
 //     byte-identical to an untraced serial replay — observability must
 //     never change the bytes on the wire.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <set>
 #include <string>
@@ -27,7 +31,7 @@
 #include "obs/trace.hpp"
 #include "service/protocol.hpp"
 #include "service/query_service.hpp"
-#include "service/shard_router.hpp"
+#include "proc_util.hpp"
 
 namespace mcast::service {
 namespace {
@@ -132,7 +136,7 @@ struct obs_guard {
 };
 
 std::string temp_path(const char* name) {
-  return ::testing::TempDir() + std::string("svc_trace_") + name;
+  return testproc::temp_path(std::string("svc_trace_") + name);
 }
 
 // --- trace_request_id: pure, deterministic, never zero -----------------
@@ -268,22 +272,79 @@ TEST(service_trace, shed_refusal_is_shed_tagged) {
   EXPECT_TRUE(bool_field(records[0], "shed"));
 }
 
-// --- cross-lane span identity ------------------------------------------
+TEST(service_trace, queued_connection_logs_its_queue_wait) {
+  if (!obs::snapshot().compiled_in) GTEST_SKIP() << "obs disabled";
+  obs_guard guard;
+  const std::string path = temp_path("queue_wait.jsonl");
+  obs::access_log_enable(path);
 
-TEST(service_trace, batch_and_scatter_spans_carry_request_trace_id) {
+  // One worker, held inside the handler by the "hold" request until the
+  // test opens the gate; a second connection queues behind it meanwhile.
+  auto svc = std::make_shared<query_service>();
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  line_server server(traced_config(/*trace_seed=*/5, /*workers=*/1),
+                     [svc, opened](const std::string& line) {
+                       if (line.find("\"id\":\"hold\"") != std::string::npos) {
+                         opened.wait();
+                       }
+                       return svc->handle(line);
+                     });
+
+  unique_fd holder = net::connect_loopback(server.port());
+  EXPECT_TRUE(
+      net::send_all(holder.get(), "{\"op\":\"healthz\",\"id\":\"hold\"}\n"));
+  for (int i = 0; i < 2000 && server.stats().inflight == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(server.stats().inflight, 1u) << "the worker never took the holder";
+
+  std::vector<std::string> queued_responses;
+  std::thread queued([&] {
+    queued_responses = roundtrip(
+        server.port(), {"{\"op\":\"healthz\",\"id\":\"q0\"}",
+                        "{\"op\":\"healthz\",\"id\":\"q1\"}"});
+  });
+  for (int i = 0; i < 2000 && server.stats().queue_depth == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(server.stats().queue_depth, 1u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  gate.set_value();
+  // The worker owns the holder's connection until it closes.
+  line_reader reader(holder.get(), 1 << 16);
+  std::string line;
+  EXPECT_EQ(reader.read_line(line, kReadTimeoutMs), line_reader::status::line);
+  holder.reset();
+  queued.join();
+  ASSERT_EQ(queued_responses.size(), 2u);
+  server.shutdown();
+  server.wait();
+  obs::access_log_disable();
+
+  const std::vector<json::value> records = read_access_log(path);
+  ASSERT_EQ(records.size(), 3u);
+  // The single worker serves the holder first, then the queued connection.
+  EXPECT_GE(num_field(records[1], "queue_wait_ns"), 20e6)
+      << "the queued connection waited at least the 20 ms the test held it";
+  EXPECT_EQ(num_field(records[2], "queue_wait_ns"), 0.0)
+      << "later requests on a connection never waited for a worker";
+}
+
+// --- span identity -------------------------------------------------------
+
+TEST(service_trace, batch_subop_spans_carry_request_trace_id) {
   if (!obs::snapshot().compiled_in) GTEST_SKIP() << "obs disabled";
   obs_guard guard;
   obs::trace_enable();
 
-  sharded_config config;
-  config.shards = 2;
-  auto svc = std::make_shared<sharded_service>(config);
+  auto svc = std::make_shared<query_service>();
   line_server server(traced_config(/*trace_seed=*/11),
                      [svc](const std::string& line) {
                        return svc->handle(line);
                      });
-  // One request: a batch whose slots route to shards, run inline, and
-  // fail — the failing slot's span must still carry the request's id.
+  // One request: a batch whose slots succeed and fail — the failing
+  // slot's span must still carry the request's id.
   const auto responses = roundtrip(
       server.port(),
       {"{\"op\":\"batch\",\"ops\":["
@@ -297,13 +358,11 @@ TEST(service_trace, batch_and_scatter_spans_carry_request_trace_id) {
       << "failing slot must keep its typed error: " << responses[0];
   server.shutdown();
   server.wait();
-  svc->shutdown();
   obs::trace_disable();
 
   const obs::trace_dump dump = obs::trace_collect();
   const obs::trace_event* request = nullptr;
   std::size_t subops = 0;
-  std::size_t shard_side = 0;  // shard.task + scatter.chunk spans
   for (const obs::trace_event& e : dump.events) {
     if (e.name == "request") {
       ASSERT_EQ(request, nullptr) << "one request, one root span";
@@ -318,16 +377,11 @@ TEST(service_trace, batch_and_scatter_spans_carry_request_trace_id) {
     if (e.name == "batch.subop") {
       ++subops;
       EXPECT_EQ(e.trace_id, request->trace_id) << "sub-op lost its request";
-      EXPECT_NE(e.parent_id, 0u);
-    }
-    if (e.name == "shard.task" || e.name == "scatter.chunk") {
-      ++shard_side;
-      // These run on shard-worker lanes; the context was carried across.
-      EXPECT_EQ(e.trace_id, request->trace_id) << e.name;
+      EXPECT_EQ(e.parent_id, request->span_id);
+      EXPECT_EQ(e.tid, request->tid) << "sub-ops run on the request's lane";
     }
   }
   EXPECT_EQ(subops, 3u) << "every slot spans, the failing one included";
-  EXPECT_GE(shard_side, 1u) << "routed work must span on the shard lane";
 }
 
 // --- byte identity: observability must not change the wire -------------
@@ -339,9 +393,7 @@ TEST(service_trace, traced_run_is_byte_identical_to_untraced_replay) {
   obs::trace_enable();
   obs::access_log_enable(path);
 
-  sharded_config config;
-  config.shards = 4;
-  auto svc = std::make_shared<sharded_service>(config);
+  auto svc = std::make_shared<query_service>();
   line_server server(traced_config(/*trace_seed=*/3, /*workers=*/4),
                      [svc](const std::string& line) {
                        return svc->handle(line);
@@ -375,7 +427,6 @@ TEST(service_trace, traced_run_is_byte_identical_to_untraced_replay) {
   }
   server.shutdown();
   server.wait();
-  svc->shutdown();
   obs::access_log_disable();
   obs::trace_disable();
 
@@ -384,10 +435,8 @@ TEST(service_trace, traced_run_is_byte_identical_to_untraced_replay) {
   EXPECT_NE(responses[0][0].find("\"trace\":\"c0-a1\""), std::string::npos)
       << responses[0][0];
 
-  // Serial replay through a fresh core with all observability off.
-  sharded_config quiet_config;
-  quiet_config.shards = 4;
-  sharded_service quiet(quiet_config);
+  // Serial replay through a fresh service with all observability off.
+  query_service quiet;
   for (int c = 0; c < kClients; ++c) {
     ASSERT_EQ(responses[c].size(), requests[c].size()) << "client " << c;
     for (std::size_t i = 0; i < requests[c].size(); ++i) {
@@ -396,7 +445,6 @@ TEST(service_trace, traced_run_is_byte_identical_to_untraced_replay) {
           << ": tracing changed the response bytes";
     }
   }
-  quiet.shutdown();
 
   // Every request also left exactly one access record.
   EXPECT_EQ(read_access_log(path).size(),

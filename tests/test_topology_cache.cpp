@@ -158,100 +158,5 @@ TEST(topology_cache, shared_instance_is_a_singleton) {
   EXPECT_EQ(&shared_topology_cache(), &shared_topology_cache());
 }
 
-// --- routing hash ------------------------------------------------------
-
-TEST(topology_routing_hash, is_stable_and_key_sensitive) {
-  topology_key key;
-  key.name = "ARPA";
-  key.seed = 7;
-  const std::uint64_t h = topology_routing_hash(key);
-  EXPECT_EQ(topology_routing_hash(key), h);  // pure function of the key
-
-  topology_key other = key;
-  other.seed = 8;
-  EXPECT_NE(topology_routing_hash(other), h);
-  other = key;
-  other.name = "MBone";
-  EXPECT_NE(topology_routing_hash(other), h);
-  other = key;
-  other.budget = 300;
-  EXPECT_NE(topology_routing_hash(other), h);
-}
-
-// --- warm tier + tiered cache ------------------------------------------
-
-TEST(warm_topology_tier, populate_then_find_matches_direct_build) {
-  warm_topology_tier warm;
-  topology_key arpa;
-  arpa.name = "ARPA";
-  arpa.seed = 7;
-  topology_key scaled;
-  scaled.name = "ts1000";
-  scaled.seed = 7;
-  scaled.budget = 300;
-  warm.populate({arpa, scaled});
-  EXPECT_EQ(warm.size(), 2u);
-
-  const auto g = warm.find("ARPA", 7);
-  ASSERT_NE(g, nullptr);
-  expect_same_graph(*g, direct_build("ARPA", 7, 0));
-  const auto s = warm.find("ts1000", 7, 300);
-  ASSERT_NE(s, nullptr);
-  expect_same_graph(*s, direct_build("ts1000", 7, 300));
-  EXPECT_EQ(warm.find("ARPA", 8), nullptr);  // different seed: not warmed
-  EXPECT_EQ(warm.hits(), 2u);
-}
-
-TEST(warm_topology_tier, populate_is_idempotent_and_readable_concurrently) {
-  warm_topology_tier warm;
-  topology_key arpa;
-  arpa.name = "ARPA";
-  arpa.seed = 7;
-  warm.populate({arpa});
-  const auto first = warm.find("ARPA", 7);
-  warm.populate({arpa});  // re-populate must not duplicate or rebuild
-  EXPECT_EQ(warm.size(), 1u);
-  EXPECT_EQ(warm.find("ARPA", 7).get(), first.get());
-
-  constexpr int kThreads = 8;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int i = 0; i < kThreads; ++i) {
-    threads.emplace_back([&warm, &first] {
-      for (int round = 0; round < 16; ++round) {
-        const auto g = warm.find("ARPA", 7);
-        ASSERT_EQ(g.get(), first.get());
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-}
-
-TEST(tiered_topology_cache, warm_hit_bypasses_the_lru) {
-  warm_topology_tier warm;
-  topology_key arpa;
-  arpa.name = "ARPA";
-  arpa.seed = 7;
-  warm.populate({arpa});
-
-  tiered_topology_cache cache(&warm, 4);
-  const auto warm_hit = cache.get("ARPA", 7);
-  EXPECT_EQ(warm_hit.get(), warm.find("ARPA", 7).get());
-  EXPECT_EQ(cache.lru().size(), 0u);  // never touched the shard LRU
-
-  const auto cold = cache.get("r100", 3, 80);
-  ASSERT_NE(cold, nullptr);
-  EXPECT_EQ(cache.lru().size(), 1u);
-  EXPECT_EQ(cache.get("r100", 3, 80).get(), cold.get());
-}
-
-TEST(tiered_topology_cache, works_without_a_warm_tier) {
-  tiered_topology_cache cache(nullptr, 2);
-  const auto g = cache.get("ARPA", 7);
-  ASSERT_NE(g, nullptr);
-  expect_same_graph(*g, direct_build("ARPA", 7, 0));
-  EXPECT_EQ(cache.lru().size(), 1u);
-}
-
 }  // namespace
 }  // namespace mcast
