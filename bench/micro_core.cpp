@@ -318,7 +318,7 @@ void bm_affinity_chain(benchmark::State& state) {
             .mean_tree_size);
   }
 }
-BENCHMARK(bm_affinity_chain)->Arg(16)->Arg(64);
+BENCHMARK(bm_affinity_chain)->Arg(16)->Arg(64)->Arg(1024);
 
 }  // namespace
 

@@ -7,6 +7,99 @@
 
 namespace mcast {
 
+namespace {
+
+// The reference sums: the receivers in a list, summed through distance().
+class listed_receiver_sums final : public receiver_distance_sums {
+ public:
+  explicit listed_receiver_sums(const distance_oracle& distances)
+      : distances_(&distances) {}
+
+  void add(node_id site) override { sites_.push_back(site); }
+
+  void remove(node_id site) override {
+    const auto it = std::find(sites_.begin(), sites_.end(), site);
+    expects(it != sites_.end(), "receiver_distance_sums::remove: no receiver at site");
+    *it = sites_.back();
+    sites_.pop_back();
+  }
+
+  std::uint64_t sum_to(node_id x) const override {
+    std::uint64_t sum = 0;
+    for (node_id site : sites_) sum += distances_->distance(x, site);
+    return sum;
+  }
+
+ private:
+  const distance_oracle* distances_;
+  std::vector<node_id> sites_;
+};
+
+// Per-node receiver counts on a heap-ordered k-ary tree: cnt_[a] is the
+// number of receivers in a's subtree. The root's count is never read (every
+// receiver is below it), so walks stop there.
+class kary_receiver_sums final : public receiver_distance_sums {
+ public:
+  explicit kary_receiver_sums(const kary_shape& shape)
+      : k_(shape.k()), cnt_(shape.node_count(), 0) {}
+
+  void add(node_id site) override {
+    check(site);
+    unsigned depth = 0;
+    for (node_id a = site; a != 0; a = (a - 1) / k_) {
+      ++cnt_[a];
+      ++depth;
+    }
+    ++receivers_;
+    depth_sum_ += depth;
+  }
+
+  void remove(node_id site) override {
+    check(site);
+    expects(receivers_ > 0, "receiver_distance_sums::remove: no receiver at site");
+    unsigned depth = 0;
+    for (node_id a = site; a != 0; a = (a - 1) / k_) {
+      expects(cnt_[a] > 0, "receiver_distance_sums::remove: no receiver at site");
+      --cnt_[a];
+      ++depth;
+    }
+    --receivers_;
+    depth_sum_ -= depth;
+  }
+
+  std::uint64_t sum_to(node_id x) const override {
+    check(x);
+    std::uint64_t depth = 0;
+    std::uint64_t shared = 0;  // Σ_j depth(lca(x, r_j))
+    for (node_id a = x; a != 0; a = (a - 1) / k_) {
+      shared += cnt_[a];
+      ++depth;
+    }
+    return receivers_ * depth + depth_sum_ - 2 * shared;
+  }
+
+ private:
+  void check(node_id v) const {
+    expects_in_range(v < cnt_.size(), "receiver_distance_sums: node out of range");
+  }
+
+  node_id k_;
+  std::vector<std::uint32_t> cnt_;
+  std::uint64_t receivers_ = 0;
+  std::uint64_t depth_sum_ = 0;  // Σ_j depth(r_j)
+};
+
+}  // namespace
+
+std::unique_ptr<receiver_distance_sums> distance_oracle::make_receiver_sums() const {
+  return std::make_unique<listed_receiver_sums>(*this);
+}
+
+std::unique_ptr<receiver_distance_sums> kary_distance_oracle::make_receiver_sums()
+    const {
+  return std::make_unique<kary_receiver_sums>(shape_);
+}
+
 graph_distance_oracle::graph_distance_oracle(const graph& g)
     : g_(&g), rows_(g.node_count()) {}
 
@@ -36,13 +129,15 @@ affinity_estimate sample_affinity_tree_size(const source_tree& tree,
   std::vector<node_id> r(n);
   for (node_id& site : r) site = universe[gen.below(universe.size())];
 
-  // Sum of pairwise distances, maintained incrementally.
+  // Sum of pairwise distances, built by adding the receivers one at a time
+  // and maintained incrementally. Every sum is an integer below 2^53, so
+  // the doubles below are exact.
   const double pairs = static_cast<double>(n) * (static_cast<double>(n) - 1.0) / 2.0;
-  double pair_sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      pair_sum += distances.distance(r[i], r[j]);
-    }
+  const std::unique_ptr<receiver_distance_sums> sums = distances.make_receiver_sums();
+  std::uint64_t pair_sum = 0;
+  for (node_id site : r) {
+    pair_sum += sums->sum_to(site);
+    sums->add(site);
   }
 
   std::uint64_t proposed = 0;
@@ -56,19 +151,21 @@ affinity_estimate sample_affinity_tree_size(const source_tree& tree,
       ++accepted;
       return;
     }
-    double delta = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j == i) continue;
-      delta += static_cast<double>(distances.distance(new_site, r[j])) -
-               static_cast<double>(distances.distance(old_site, r[j]));
-    }
+    // Price both sites against the other n-1 receivers.
+    sums->remove(old_site);
+    const std::uint64_t to_new = sums->sum_to(new_site);
+    const std::uint64_t to_old = sums->sum_to(old_site);
+    const double delta = static_cast<double>(to_new) - static_cast<double>(to_old);
     // W ∝ exp(-beta * d̄); Metropolis acceptance on the change in d̄.
     const double dmean_delta = pairs > 0.0 ? delta / pairs : 0.0;
     const double log_accept = -params.beta * dmean_delta;
     if (log_accept >= 0.0 || gen.uniform() < std::exp(log_accept)) {
       r[i] = new_site;
-      pair_sum += delta;
+      pair_sum = pair_sum - to_old + to_new;
+      sums->add(new_site);
       ++accepted;
+    } else {
+      sums->add(old_site);
     }
   };
 
@@ -91,7 +188,7 @@ affinity_estimate sample_affinity_tree_size(const source_tree& tree,
       builder.reset();
       for (node_id site : r) builder.add_receiver(site);
       tree_size_sum += static_cast<double>(builder.link_count());
-      pair_mean_sum += pairs > 0.0 ? pair_sum / pairs : 0.0;
+      pair_mean_sum += pairs > 0.0 ? static_cast<double>(pair_sum) / pairs : 0.0;
       ++measured;
     }
   }
@@ -115,16 +212,39 @@ std::vector<std::size_t> greedy_extreme_trajectory(
   expects(n <= universe.size(),
           "greedy trajectory: n exceeds the candidate universe (extreme "
           "placements use distinct sites)");
-  delivery_tree_builder builder(tree);
-  std::vector<char> used(tree.node_count(), 0);
+  const node_id nodes = tree.node_count();
+  for (node_id v : universe) {
+    expects_in_range(v < nodes, "greedy trajectory: node out of range");
+    expects(tree.distance(v) != unreachable,
+            "greedy trajectory: site unreachable from source");
+  }
 
-  // Marginal gain of a candidate = links on its rootward path not yet on
-  // the delivery tree; evaluated without mutating the builder.
-  auto gain_of = [&](node_id v) {
-    std::size_t gain = 0;
-    for (node_id w = v; !builder.covers(w); w = tree.parent(w)) ++gain;
-    return gain;
-  };
+  // gain[v] = links on v's rootward path not yet on the delivery tree, i.e.
+  // the hops to v's nearest covered ancestor (0 when v is covered). Only
+  // the source is covered at the start.
+  std::vector<hop_count> gain(nodes);
+  for (node_id v = 0; v < nodes; ++v) gain[v] = tree.distance(v);
+
+  // Children of each node on the source tree, as CSR.
+  std::vector<node_id> child_begin(static_cast<std::size_t>(nodes) + 1, 0);
+  for (node_id v = 0; v < nodes; ++v) {
+    const node_id p = tree.parent(v);
+    if (p != invalid_node) ++child_begin[p + 1];
+  }
+  for (node_id v = 0; v < nodes; ++v) child_begin[v + 1] += child_begin[v];
+  std::vector<node_id> children(child_begin[nodes]);
+  {
+    std::vector<node_id> fill(child_begin.begin(), child_begin.end() - 1);
+    for (node_id v = 0; v < nodes; ++v) {
+      const node_id p = tree.parent(v);
+      if (p != invalid_node) children[fill[p]++] = v;
+    }
+  }
+
+  delivery_tree_builder builder(tree);
+  std::vector<char> used(nodes, 0);
+  std::vector<node_id> new_path;
+  std::vector<node_id> stack;
 
   std::vector<std::size_t> trajectory;
   trajectory.reserve(n);
@@ -135,20 +255,48 @@ std::vector<std::size_t> greedy_extreme_trajectory(
     best_sites.clear();
     for (node_id v : universe) {
       if (used[v]) continue;  // extreme configurations are distinct sites
-      const std::size_t gain = gain_of(v);
+      const std::size_t g = gain[v];
       const bool better =
-          !have_any || (maximize ? gain > best_gain : gain < best_gain);
+          !have_any || (maximize ? g > best_gain : g < best_gain);
       if (better) {
-        best_gain = gain;
+        best_gain = g;
         best_sites.clear();
         have_any = true;
       }
-      if (gain == best_gain) best_sites.push_back(v);
+      if (g == best_gain) best_sites.push_back(v);
     }
     MCAST_ASSERT(!best_sites.empty());
     const node_id chosen = best_sites[gen.below(best_sites.size())];
     used[chosen] = 1;
-    builder.add_receiver(chosen);
+
+    // The newly covered path runs from `chosen` up to its nearest covered
+    // ancestor. Below it hang uncovered subtrees whose nodes now measure
+    // their gain from that path; each node's gain only decreases, so all
+    // updates over a trajectory cost O(nodes · depth).
+    new_path.clear();
+    node_id w = chosen;
+    for (hop_count left = gain[chosen]; left > 0; --left) {
+      new_path.push_back(w);
+      gain[w] = 0;
+      w = tree.parent(w);
+    }
+    const std::size_t gained = builder.add_receiver(chosen);
+    MCAST_ASSERT(gained == new_path.size());
+    for (node_id u : new_path) {
+      for (node_id i = child_begin[u]; i < child_begin[u + 1]; ++i) {
+        if (gain[children[i]] == 0) continue;  // the next node down the path
+        gain[children[i]] = 1;
+        stack.push_back(children[i]);
+      }
+    }
+    while (!stack.empty()) {
+      const node_id v = stack.back();
+      stack.pop_back();
+      for (node_id i = child_begin[v]; i < child_begin[v + 1]; ++i) {
+        gain[children[i]] = gain[v] + 1;
+        stack.push_back(children[i]);
+      }
+    }
     trajectory.push_back(builder.link_count());
   }
   return trajectory;

@@ -16,10 +16,6 @@
 //    extreme_affinity_kary_tree_size     L∞(m) = Σ_l ceil(m / k^{D−l})
 //    (the paper prints these via the ΔL sequences; the sums here are the
 //    closed evaluations, verified against the sequences in tests).
-//
-// Distances come through a distance_oracle so k-ary trees can use O(depth)
-// index arithmetic in the Metropolis inner loop while general graphs fall
-// back to cached BFS rows.
 #pragma once
 
 #include <cstdint>
@@ -33,21 +29,46 @@
 
 namespace mcast {
 
+/// Running Σ_j d(x, r_j) over a multiset of receiver sites r_j: the sum a
+/// Metropolis move needs to re-price one receiver against the rest. Made
+/// by a distance_oracle, which picks the method; one instance per chain.
+class receiver_distance_sums {
+ public:
+  receiver_distance_sums() = default;
+  receiver_distance_sums(const receiver_distance_sums&) = delete;
+  receiver_distance_sums& operator=(const receiver_distance_sums&) = delete;
+  virtual ~receiver_distance_sums() = default;
+  /// Adds one receiver at `site` (sites may repeat).
+  virtual void add(node_id site) = 0;
+  /// Removes one receiver at `site`; one must be present.
+  virtual void remove(node_id site) = 0;
+  /// Σ over the current receivers r_j of d(x, r_j).
+  virtual std::uint64_t sum_to(node_id x) const = 0;
+};
+
 /// Pairwise hop-distance provider for the affinity model.
 class distance_oracle {
  public:
   virtual ~distance_oracle() = default;
   /// Hop distance between nodes a and b.
   virtual unsigned distance(node_id a, node_id b) const = 0;
+  /// Empty running sums for one chain; they must not outlive the oracle.
+  /// The default keeps the receivers in a list and sums distance() over
+  /// it, O(n) per sum_to.
+  virtual std::unique_ptr<receiver_distance_sums> make_receiver_sums() const;
 };
 
-/// O(depth) arithmetic distances on a complete k-ary tree.
+/// Distances on a complete k-ary tree by index arithmetic. Its running
+/// sums keep per-node receiver counts cnt(a), so that
+///   Σ_j d(x, r_j) = n·depth(x) + Σ_j depth(r_j) − 2·Σ_{a ∈ path(x)} cnt(a)
+/// (path(x) = x and its ancestors below the root) costs O(depth).
 class kary_distance_oracle final : public distance_oracle {
  public:
   explicit kary_distance_oracle(kary_shape shape) : shape_(std::move(shape)) {}
   unsigned distance(node_id a, node_id b) const override {
     return shape_.distance(a, b);
   }
+  std::unique_ptr<receiver_distance_sums> make_receiver_sums() const override;
 
  private:
   kary_shape shape_;
@@ -84,7 +105,9 @@ struct affinity_estimate {
 
 /// Estimates L̂_β(n): places n receivers (with replacement) from `universe`
 /// under the affinity weight and returns the averaged delivery-tree size.
-/// Deterministic given `gen`'s state. Requires n >= 1 and a non-empty
+/// Deterministic given `gen`'s state, and the same for every oracle that
+/// reports the same distances. Each move re-prices one receiver through
+/// the oracle's receiver_distance_sums. Requires n >= 1 and a non-empty
 /// universe; receivers must be reachable from the tree's source.
 affinity_estimate sample_affinity_tree_size(const source_tree& tree,
                                             const std::vector<node_id>& universe,
@@ -98,7 +121,7 @@ affinity_estimate sample_affinity_tree_size(const source_tree& tree,
 /// tree-size trajectory L(1..n). Requires n <= universe.size() (extreme
 /// configurations place receivers at distinct sites — with replacement the
 /// β=+∞ limit degenerates to "everyone at one site", paper Section 5.3).
-/// O(n · |universe| · depth).
+/// Every universe site must be reachable from the tree's source.
 std::vector<std::size_t> greedy_disaffinity_trajectory(
     const source_tree& tree, const std::vector<node_id>& universe,
     std::size_t n, rng& gen);

@@ -1,6 +1,5 @@
 #include "topo/kary.hpp"
 
-#include <bit>
 #include <limits>
 #include <string>
 
@@ -44,9 +43,8 @@ node_id kary_shape::level_begin(unsigned l) const {
 
 unsigned kary_shape::level_of(node_id v) const {
   expects_in_range(v < total_, "kary_shape::level_of: node out of range");
-  // Levels are few (<= ~40 for any representable tree): linear scan is fine
-  // and branch-predicts well, but the affinity inner loop wants speed, so
-  // use a tight upward scan from the top.
+  // Levels are few (<= ~40 for any representable tree): a linear scan from
+  // the top is fine and branch-predicts well.
   unsigned l = 0;
   while (v >= level_begin_[l + 1]) ++l;
   return l;
@@ -80,29 +78,6 @@ node_id kary_shape::lca(node_id a, node_id b) const {
 unsigned kary_shape::distance(node_id a, node_id b) const {
   expects_in_range(a < total_ && b < total_,
                    "kary_shape::distance: node out of range");
-  if (k_ == 2) {
-    // Binary heap order: node v+1 lies in [2^l, 2^{l+1}), so the level is
-    // bit_width(v+1)-1 and the parent is (v-1)>>1. This branch is the inner
-    // loop of the affinity Metropolis chain — keep it divisions-free.
-    std::uint32_t x = a + 1;
-    std::uint32_t y = b + 1;
-    unsigned lx = std::bit_width(x);
-    unsigned ly = std::bit_width(y);
-    unsigned d = 0;
-    if (lx > ly) {
-      d += lx - ly;
-      x >>= (lx - ly);
-    } else if (ly > lx) {
-      d += ly - lx;
-      y >>= (ly - lx);
-    }
-    while (x != y) {
-      x >>= 1;
-      y >>= 1;
-      d += 2;
-    }
-    return d;
-  }
   unsigned la = level_of(a);
   unsigned lb = level_of(b);
   unsigned d = 0;

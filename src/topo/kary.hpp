@@ -3,9 +3,7 @@
 //
 // Node numbering is heap order: the root (the multicast source) is node 0
 // and the children of node v are k*v+1 ... k*v+k. This gives O(depth)
-// parent/LCA/distance arithmetic without touching the graph at all, which
-// the affinity Metropolis sampler (multicast/affinity.hpp) relies on for
-// its inner loop.
+// parent/LCA/distance arithmetic without touching the graph at all.
 #pragma once
 
 #include <cstdint>

@@ -1,9 +1,12 @@
-// Engine-level series guarantees for the analytic figures (2, 3, 4):
+// Engine-level series guarantees for the analytic figures (2, 3, 4) and
+// the affinity figure (9):
 //   * byte-identical output across scheduler thread counts (1 vs 4) and
 //     with the SPT cache on or off — the scheduler splices sweep points
 //     back in index order, so parallelism must never show in the bytes;
 //   * byte-identical to the checked-in goldens under tests/data/ (the
-//     exact text the retired per-figure binaries printed at scale 0);
+//     exact text the retired per-figure binaries printed at scale 0, plus
+//     fig9 at scale 1, which pins the Metropolis chain and the greedy
+//     envelopes at paper-sized group counts);
 //   * differentially identical to a direct closed-form recomputation
 //     (fig2's h(x) and fig4's L(m)/D evaluated straight from
 //     analysis/kary_exact.hpp at the recorded x grid).
@@ -41,15 +44,20 @@ const registry& builtin() {
   return reg;
 }
 
-run_outcome run_at_scale0(const std::string& id, std::size_t threads,
-                          bool use_spt_cache) {
+run_outcome run_at_scale(const std::string& id, int scale,
+                         std::size_t threads, bool use_spt_cache) {
   const experiment* exp = builtin().find(id);
   if (exp == nullptr) throw std::runtime_error("unknown experiment " + id);
   run_options opts;
-  opts.scale = 0;
+  opts.scale = scale;
   opts.threads = threads;
   opts.use_spt_cache = use_spt_cache;
   return run_experiment(*exp, opts);
+}
+
+run_outcome run_at_scale0(const std::string& id, std::size_t threads,
+                          bool use_spt_cache) {
+  return run_at_scale(id, 0, threads, use_spt_cache);
 }
 
 std::string data_path(const std::string& file) {
@@ -58,10 +66,12 @@ std::string data_path(const std::string& file) {
 
 bool regen() { return std::getenv("MCAST_REGEN_GOLDEN") != nullptr; }
 
-// Compares a run's rendered text against tests/data/lab_<id>_scale0.txt
+// Compares a run's rendered text against tests/data/lab_<id>_scale<S>.txt
 // byte for byte (or rewrites it under MCAST_REGEN_GOLDEN=1).
-void check_golden(const std::string& id, const std::string& rendered) {
-  const std::string path = data_path("lab_" + id + "_scale0.txt");
+void check_golden(const std::string& id, const std::string& rendered,
+                  int scale = 0) {
+  const std::string path =
+      data_path("lab_" + id + "_scale" + std::to_string(scale) + ".txt");
   if (regen()) {
     std::ofstream out(path, std::ios::binary);
     ASSERT_TRUE(out) << "cannot write " << path;
@@ -93,7 +103,14 @@ TEST_P(lab_series, thread_count_and_cache_invariant_and_golden) {
 }
 
 INSTANTIATE_TEST_SUITE_P(analytic_figures, lab_series,
-                         ::testing::Values("fig2", "fig3", "fig4"));
+                         ::testing::Values("fig2", "fig3", "fig4", "fig9"));
+
+// fig9 at scale 1 (n_max 2048 on binary trees of depth 10 and 12): the
+// grid the paper plots, where every Metropolis sweep and greedy envelope
+// step runs at full size.
+TEST(lab_series_golden, fig9_scale1) {
+  check_golden("fig9", run_at_scale("fig9", 1, 4, true).output.str(), 1);
+}
 
 // Parses "k=K,D=D  (...)" labels emitted by fig2/fig4.
 bool parse_kd(const std::string& label, unsigned& k, unsigned& d) {
