@@ -106,7 +106,7 @@ void register_ext_churn(registry& reg) {
     const std::size_t tiers = std::size(k_tiers);
     const std::size_t points = tiers * targets.size();
     std::vector<churn_point> results(points);
-    ctx.sweep(points, [&](std::size_t index, recorder&, worker_state&) {
+    ctx.sweep(points, [&](std::size_t index, recorder&) {
       const churn_tier& tier = k_tiers[index / targets.size()];
       const double target = targets[index % targets.size()];
       churn_workload w;

@@ -5,7 +5,7 @@
 //   euclidean   — Dijkstra trees over Euclidean link lengths, total length
 //   random      — Dijkstra trees over U[0.5, 1.5) weights, total weight
 // and reports the fitted exponent of tree cost vs m for each. The three
-// modes carry independent RNG streams and fan out over the scheduler.
+// modes carry independent RNG streams and fan out over ctx.sweep.
 #include <cmath>
 #include <sstream>
 #include <string>
@@ -71,7 +71,7 @@ void register_ext_weighted(registry& reg) {
                           {"euclidean", &euclid},
                           {"random", &random_w}};
 
-    ctx.sweep(3, [&](std::size_t mi, recorder& rec, worker_state&) {
+    ctx.sweep(3, [&](std::size_t mi, recorder& rec) {
       const mode& m = modes[mi];
       rng gen(seed);
       std::vector<double> xs(grid.size()), ys(grid.size(), 0.0);

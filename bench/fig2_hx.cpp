@@ -4,7 +4,7 @@
 // h is computed from the exact second difference (Eq 6) through Eq 11; the
 // straight-line collapse is the paper's evidence that the degree k only
 // rescales the asymptotic form. The per-depth curves are independent, so
-// each panel fans out over the scheduler.
+// each panel fans out over ctx.sweep.
 #include <cmath>
 #include <sstream>
 
@@ -38,8 +38,7 @@ void register_fig2(registry& reg) {
     const std::size_t points = ctx.u64("points");
 
     for (const panel& p : panels) {
-      ctx.sweep(p.depths.size(), [&](std::size_t i, recorder& rec,
-                                     worker_state&) {
+      ctx.sweep(p.depths.size(), [&](std::size_t i, recorder& rec) {
         const unsigned d = p.depths[i];
         std::vector<double> xs, ys;
         for (double x : linear_grid(0.02, 1.0, points)) {

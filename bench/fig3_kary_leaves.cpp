@@ -3,7 +3,7 @@
 //   (a) k = 2, D = 10, 14, 17;   (b) k = 4, D = 5, 7, 9.
 // The linear mid-range with slope −1/ln k is the paper's "linear with a
 // logarithmic correction" form of L̂(n) (Eq 17). Per-depth curves fan out
-// over the scheduler.
+// over ctx.sweep.
 #include <cmath>
 #include <sstream>
 
@@ -38,8 +38,7 @@ void register_fig3(registry& reg) {
 
     for (const panel& p : panels) {
       const double lnk = std::log(static_cast<double>(p.k));
-      ctx.sweep(p.depths.size(), [&](std::size_t i, recorder& rec,
-                                     worker_state&) {
+      ctx.sweep(p.depths.size(), [&](std::size_t i, recorder& rec) {
         const unsigned d = p.depths[i];
         const double m_sites = kary_leaf_count(p.k, d);
         std::vector<double> xs, ys;

@@ -3,7 +3,7 @@
 //   (a) k = 2, D = 10, 14, 17;   (b) k = 4, D = 5, 7, 9.
 // The paper's surprise: Eq 18 is *not* a power law, yet its curves hug
 // m^0.8 over the whole usable range — one candidate explanation for the
-// law's universality. Per-depth curves fan out over the scheduler.
+// law's universality. Per-depth curves fan out over ctx.sweep.
 #include <cmath>
 #include <sstream>
 
@@ -36,8 +36,7 @@ void register_fig4(registry& reg) {
     const std::size_t points = ctx.u64("points");
 
     for (const panel& p : panels) {
-      ctx.sweep(p.depths.size(), [&](std::size_t i, recorder& rec,
-                                     worker_state&) {
+      ctx.sweep(p.depths.size(), [&](std::size_t i, recorder& rec) {
         const unsigned d = p.depths[i];
         const double m_sites = kary_leaf_count(p.k, d);
         std::vector<double> xs, ys;

@@ -36,8 +36,7 @@ void register_fig5(registry& reg) {
 
     for (const panel& p : panels) {
       const double lnk = std::log(static_cast<double>(p.k));
-      ctx.sweep(p.depths.size(), [&](std::size_t i, recorder& rec,
-                                     worker_state&) {
+      ctx.sweep(p.depths.size(), [&](std::size_t i, recorder& rec) {
         const unsigned d = p.depths[i];
         const double m_sites = kary_site_count_all(p.k, d);
         std::vector<double> xs, ys;

@@ -5,7 +5,7 @@
 //   super-exponential  S(r) ∝ e^{λ r²}   (faster than exponential)
 // The exponential case follows the linear-in-ln n form; the other two do
 // not — the boundary of the paper's analysis. The three families are
-// independent and fan out over the scheduler.
+// independent and fan out over ctx.sweep.
 #include <cmath>
 #include <sstream>
 #include <string>
@@ -53,7 +53,7 @@ void register_fig8(registry& reg) {
                                                  anchor)},
     };
 
-    ctx.sweep(3, [&](std::size_t i, recorder& rec, worker_state&) {
+    ctx.sweep(3, [&](std::size_t i, recorder& rec) {
       const family& f = families[i];
       std::vector<double> xs, ys;
       for (double n : log_grid(1.0, n_max, points)) {

@@ -5,7 +5,7 @@
 // chain; the β = ±∞ envelopes come from the greedy extreme constructions.
 // The extremes_only parameter (the old --extremes-only flag) prints just
 // the closed-form envelopes. Each depth carries its own RNGs, so the two
-// depths fan out over the scheduler.
+// depths fan out over ctx.sweep.
 #include <cmath>
 #include <sstream>
 
@@ -44,8 +44,7 @@ void register_fig9(registry& reg) {
     const unsigned sample = static_cast<unsigned>(ctx.u64("sample"));
     const bool extremes_only = ctx.flag("extremes_only");
 
-    ctx.sweep(depths.size(), [&](std::size_t di, recorder& rec,
-                                 worker_state&) {
+    ctx.sweep(depths.size(), [&](std::size_t di, recorder& rec) {
       const unsigned d = depths[di];
       const kary_shape shape(2, d);
       const graph g = shape.to_graph();

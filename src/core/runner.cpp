@@ -1,13 +1,11 @@
 #include "core/runner.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <optional>
-#include <thread>
 
 #include "analysis/series.hpp"
 #include "analysis/stats.hpp"
 #include "common/contract.hpp"
+#include "core/parallel.hpp"
 #include "graph/components.hpp"
 #include "graph/workspace.hpp"
 #include "multicast/delivery_tree.hpp"
@@ -50,7 +48,8 @@ rng task_stream(std::uint64_t seed, std::size_t s, std::uint64_t salt) {
   return rng(splitmix64(state));
 }
 
-// Reusable hot-path state owned by one worker thread. Everything in here
+// The parallel_for state of the runner: reusable hot-path state owned by
+// one worker thread. Everything in here
 // is an optimization only — SPTs, universes and samples come out identical
 // to freshly allocated ones, so sharing a context across that worker's
 // source tasks cannot perturb any result.
@@ -186,40 +185,19 @@ std::vector<std::vector<mc_cell>> measure_sources(
             "measure: degraded view must leave at least two alive nodes");
   }
 
-  const std::size_t count = params.sources;
-  const std::size_t threads =
-      std::min<std::size_t>(count, resolve_thread_count(params.threads));
-
   // Every source task writes its own accumulator block; blocks are merged
   // in source order afterwards, so the result is independent of both the
-  // thread count and the scheduling.
+  // thread count and the scheduling. Each worker owns its cache and
+  // workspace: no sharing, no locks, and — because cache state can never
+  // alter a tree — no dependence of the results on which worker ran which
+  // source.
   std::vector<std::vector<mc_cell>> per_source(
-      count, std::vector<mc_cell>(group_sizes.size()));
-
-  if (threads <= 1) {
-    worker_context ctx;
-    for (std::size_t i = 0; i < count; ++i) {
-      run_one_source(g, view, group_sizes, params, model, i, source_pool,
-                     ctx, per_source[i]);
-    }
-  } else {
-    std::atomic<std::size_t> next{0};
-    auto worker = [&] {
-      // Each worker owns its cache/workspace: no sharing, no locks, and —
-      // because cache state can never alter a tree — no dependence of the
-      // results on which worker ran which source.
-      worker_context ctx;
-      for (std::size_t i = next.fetch_add(1); i < count;
-           i = next.fetch_add(1)) {
+      params.sources, std::vector<mc_cell>(group_sizes.size()));
+  parallel_for<worker_context>(
+      params.sources, params.threads, [&](worker_context& ctx, std::size_t i) {
         run_one_source(g, view, group_sizes, params, model, i, source_pool,
                        ctx, per_source[i]);
-      }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
+      });
   return per_source;
 }
 
@@ -277,11 +255,6 @@ std::vector<scaling_point> measure_distinct_receivers(
     const monte_carlo_params& params) {
   return measure(view.base(), &view, group_sizes, params,
                  receiver_model::distinct);
-}
-
-std::size_t resolve_thread_count(std::size_t requested) {
-  if (requested != 0) return requested;
-  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 
 std::vector<std::uint64_t> default_group_grid(std::uint64_t sites,

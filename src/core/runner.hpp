@@ -79,12 +79,6 @@ std::vector<scaling_point> measure_distinct_receivers(
     const degraded_view& view, const std::vector<std::uint64_t>& group_sizes,
     const monte_carlo_params& params);
 
-/// Resolves a requested worker-thread count the way the Monte-Carlo engine
-/// does: 0 means "hardware concurrency", and the result is never below 1.
-/// (The engine additionally caps at the number of source tasks.) Exposed so
-/// the experiment engine (src/lab) grants sweeps the same thread budget.
-std::size_t resolve_thread_count(std::size_t requested);
-
 /// Default group-size grid for a network of `sites` candidate receivers:
 /// log-spaced from 1 to `sites`, the x-axis the paper uses everywhere.
 std::vector<std::uint64_t> default_group_grid(std::uint64_t sites,

@@ -3,7 +3,7 @@
 #include <chrono>
 #include <ctime>
 
-#include "core/runner.hpp"
+#include "core/parallel.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 

@@ -50,7 +50,7 @@ class recorder {
   void text(const std::string& line);
 
   /// Appends every item of `other` after this recorder's items — how the
-  /// scheduler splices sweep-point outputs back in deterministic order.
+  /// context::sweep splices sweep-point outputs back in deterministic order.
   void splice(recorder&& other);
 
   /// Renders all items in emission order, matching the classic harness

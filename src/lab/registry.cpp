@@ -1,8 +1,14 @@
 #include "lab/registry.hpp"
 
+#include <algorithm>
+#include <chrono>
+#include <cstdint>
 #include <stdexcept>
 #include <utility>
 
+#include "core/parallel.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "topo/cache.hpp"
 
 namespace mcast::lab {
@@ -28,8 +34,57 @@ const experiment* registry::find(const std::string& id) const noexcept {
   return nullptr;
 }
 
+namespace {
+
+using steady = std::chrono::steady_clock;
+
+std::uint64_t elapsed_ns(steady::time_point from, steady::time_point to) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(to - from).count());
+}
+
+// The parallel_for state of a sweep: one worker's sched.* accounting,
+// flushed when the worker retires.
+struct sweep_worker {
+  steady::time_point start = steady::now();
+  std::uint64_t busy_ns = 0;
+  std::uint64_t tasks = 0;
+
+  ~sweep_worker() {
+    obs::add(obs::counter::sched_busy_ns, busy_ns);
+    obs::add(obs::counter::sched_worker_ns, elapsed_ns(start, steady::now()));
+    obs::record(obs::histogram::sched_tasks_per_worker, tasks);
+  }
+};
+
+}  // namespace
+
 void context::sweep(std::size_t count, const sweep_fn& fn) {
-  std::vector<recorder> parts = run_sweep(count, threads_, fn);
+  if (count == 0) return;
+  const std::size_t workers = std::min(count, resolve_thread_count(threads_));
+  obs::gauge_max(obs::gauge::sched_workers, workers);
+
+  std::vector<recorder> parts(count);
+  const steady::time_point join_start = steady::now();
+  parallel_for<sweep_worker>(
+      count, workers, [&](sweep_worker& w, std::size_t i) {
+        // Probes are per point (a whole figure panel or Monte-Carlo study),
+        // so the timestamps are noise next to the work they bracket.
+        MCAST_OBS_SPAN("sweep_point");
+        const steady::time_point start = steady::now();
+        fn(i, parts[i]);
+        const std::uint64_t ns = elapsed_ns(start, steady::now());
+        w.busy_ns += ns;
+        ++w.tasks;
+        obs::add(obs::counter::sched_tasks);
+        obs::record(obs::histogram::sched_task_ns, ns);
+      });
+  // Splice wait: how long the caller sits waiting for the workers before
+  // it can stitch the per-point recorders back together in index order.
+  if (workers > 1) {
+    obs::add(obs::counter::sched_splice_wait_ns,
+             elapsed_ns(join_start, steady::now()));
+  }
   for (recorder& part : parts) rec_.splice(std::move(part));
 }
 

@@ -10,7 +10,7 @@
 // The `context` passed to a run function is the experiment's entire world:
 // typed parameter access, the resolved scale tier, engine-owned threading
 // and SPT-cache policy, structured output (series / FIT lines / tables),
-// and `sweep()` for fanning independent points over the parallel scheduler.
+// and `sweep()` for fanning independent points over worker threads.
 #pragma once
 
 #include <cstddef>
@@ -23,11 +23,14 @@
 #include "core/runner.hpp"
 #include "lab/params.hpp"
 #include "lab/recorder.hpp"
-#include "lab/scheduler.hpp"
 
 namespace mcast::lab {
 
 class context;
+
+/// One sweep point: writes the output of point `index` into `rec`. Points
+/// run concurrently, so a body must not touch another point's state.
+using sweep_fn = std::function<void(std::size_t index, recorder& rec)>;
 
 /// One registered experiment. `run` must be deterministic given the
 /// resolved parameters (all randomness seeded from declared params).
@@ -114,9 +117,10 @@ class context {
   void table(const table_writer& t) { rec_.table(t); }
   void line(const std::string& raw) { rec_.text(raw); }
 
-  /// Fans `count` independent points over the scheduler with this run's
-  /// thread budget, then splices their outputs back in index order — the
-  /// result is byte-identical to running the points serially.
+  /// Fans `count` independent points over parallel_for (core/parallel.hpp)
+  /// with this run's thread budget, then splices their outputs back in index
+  /// order — the result is byte-identical to running the points serially.
+  /// An exception from a point reaches the caller as parallel_for says.
   void sweep(std::size_t count, const sweep_fn& fn);
 
   /// Catalog topology through the process-wide content-keyed cache

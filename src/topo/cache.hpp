@@ -16,7 +16,7 @@
 // stays alive for whoever is still measuring on it.
 //
 // Unlike spt_cache (per-worker by design), this cache IS thread-safe: the
-// service's workers and the lab scheduler's sweep threads hit one shared
+// service's workers and the lab's sweep workers hit one shared
 // instance. Concurrent misses on the same key are coalesced — one thread
 // builds while the others wait — and a build failure is rethrown to every
 // waiter. Bounded LRU over completed entries; obs counters under
