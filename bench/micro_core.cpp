@@ -1,9 +1,10 @@
 // Micro-benchmarks (google-benchmark) for the primitives every figure's
 // Monte-Carlo loop is built from: BFS, delivery-tree growth, receiver
 // sampling, k-ary index arithmetic, RNG throughput, exact-formula
-// evaluation and the affinity chain move — plus the before/after pair for
-// the workspace + spt_cache hot path (bm_mc_repeated_source_*), whose
-// items/sec ratio is the headline speedup in docs/performance.md.
+// evaluation and the affinity chain move; Table 1's all-pairs pass and the
+// MBone build — plus the before/after pair for the workspace + spt_cache
+// hot path (bm_mc_repeated_source_*), whose items/sec ratio is the
+// headline speedup in docs/performance.md.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -15,6 +16,7 @@
 #include "analysis/kary_exact.hpp"
 #include "analysis/reachability.hpp"
 #include "graph/bfs.hpp"
+#include "graph/metrics.hpp"
 #include "graph/workspace.hpp"
 #include "multicast/affinity.hpp"
 #include "multicast/delivery_tree.hpp"
@@ -22,6 +24,7 @@
 #include "multicast/spt_cache.hpp"
 #include "obs/metrics.hpp"
 #include "sim/rng.hpp"
+#include "topo/cache.hpp"
 #include "topo/catalog.hpp"
 #include "topo/kary.hpp"
 #include "topo/transit_stub.hpp"
@@ -302,6 +305,27 @@ void bm_bfs_ts1000_workspace(benchmark::State& state) {
   }
 }
 BENCHMARK(bm_bfs_ts1000_workspace);
+
+// Table 1's exact path statistics on ts1000: average path length and
+// diameter from one all-pairs pass (64-source bit-parallel BFS batches).
+void bm_all_pairs_ts1000(benchmark::State& state) {
+  const graph& g = ts1000_graph();
+  for (auto _ : state) {
+    const table1_row row = summarize_network(g);
+    benchmark::DoNotOptimize(row.avg_path_length);
+  }
+}
+BENCHMARK(bm_all_pairs_ts1000)->Unit(benchmark::kMillisecond);
+
+// The MBone entry table1 and fig1 build at budget 1500: a 4500-node Waxman
+// substrate, then overlay hop distances for 750 routers and the tunnel MST.
+void bm_mbone_build_1500(benchmark::State& state) {
+  for (auto _ : state) {
+    const graph g = build_catalog_topology("MBone", 7, 1500);
+    benchmark::DoNotOptimize(g.edge_count());
+  }
+}
+BENCHMARK(bm_mbone_build_1500)->Unit(benchmark::kMillisecond);
 
 void bm_affinity_chain(benchmark::State& state) {
   const kary_shape shape(2, 10);

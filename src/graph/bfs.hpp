@@ -9,8 +9,10 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
+#include "common/contract.hpp"
 #include "graph/graph.hpp"
 
 namespace mcast {
@@ -62,7 +64,21 @@ std::vector<hop_count>& bfs_distances(const graph& g, node_id source,
 template <typename pick_fn>
 bfs_tree bfs_from_random_parents(const graph& g, node_id source, pick_fn&& pick);
 
-// --- implementation of the template ---
+/// Bit-parallel BFS from up to 64 sources at once: source i owns bit i of a
+/// per-node word, and each level is one sweep over all nodes that ORs the
+/// neighbours' frontier words. `visit(v, d, mask)` is called once for each
+/// node v and each distance d at which some sources first reach it; `mask`
+/// holds exactly those sources' bits, so every reachable (source, node)
+/// pair is reported once with its hop distance (d = 0 for the sources
+/// themselves; a source listed twice owns two bits). Nodes are visited in
+/// ascending id within a level, levels in ascending d. Cost O(D·(V+E)) for
+/// the whole batch, D the largest distance reached. Throws
+/// std::invalid_argument for more than 64 sources, std::out_of_range on a
+/// bad source id.
+template <typename visit_fn>
+void bfs_batch(const graph& g, std::span<const node_id> sources, visit_fn&& visit);
+
+// --- implementation of the templates ---
 
 template <typename pick_fn>
 bfs_tree bfs_from_random_parents(const graph& g, node_id source, pick_fn&& pick) {
@@ -86,6 +102,42 @@ bfs_tree bfs_from_random_parents(const graph& g, node_id source, pick_fn&& pick)
     }
   }
   return t;
+}
+
+template <typename visit_fn>
+void bfs_batch(const graph& g, std::span<const node_id> sources, visit_fn&& visit) {
+  expects(sources.size() <= 64, "bfs_batch: at most 64 sources per batch");
+  const node_id n = g.node_count();
+  std::vector<std::uint64_t> seen(n, 0);
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    expects_in_range(sources[i] < n, "bfs_batch: source id out of range");
+    seen[sources[i]] |= std::uint64_t{1} << i;
+  }
+  for (node_id v = 0; v < n; ++v) {
+    if (seen[v] != 0) visit(v, hop_count{0}, seen[v]);
+  }
+  const std::uint64_t all =
+      sources.size() == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << sources.size()) - 1;
+  std::vector<std::uint64_t> frontier = seen;
+  std::vector<std::uint64_t> next(n, 0);
+  for (hop_count d = 1;; ++d) {
+    bool grew = false;
+    for (node_id v = 0; v < n; ++v) {
+      std::uint64_t reach = 0;
+      if (seen[v] != all) {
+        for (node_id w : g.neighbors(v)) reach |= frontier[w];
+        reach &= ~seen[v];
+      }
+      next[v] = reach;
+      if (reach != 0) {
+        seen[v] |= reach;
+        grew = true;
+        visit(v, d, reach);
+      }
+    }
+    if (!grew) return;
+    frontier.swap(next);
+  }
 }
 
 }  // namespace mcast

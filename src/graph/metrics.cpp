@@ -1,6 +1,7 @@
 #include "graph/metrics.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/contract.hpp"
 
@@ -22,30 +23,48 @@ degree_stats compute_degree_stats(const graph& g) {
   return s;
 }
 
-double average_path_length_exact(const graph& g) {
-  if (g.node_count() < 2) return 0.0;
-  double total = 0.0;
-  std::size_t pairs = 0;
-  for (node_id s = 0; s < g.node_count(); ++s) {
-    for (hop_count d : bfs_distances(g, s)) {
-      if (d != unreachable && d > 0) {
-        total += d;
-        ++pairs;
-      }
+namespace {
+
+// Sums of every finite distance d > 0 over all ordered pairs, plus the
+// largest one. The integer sums stay far below 2^53, so converting them
+// once gives the same double as adding each distance to a double.
+struct all_pairs_stats {
+  std::uint64_t total = 0;
+  std::uint64_t pairs = 0;
+  std::size_t diameter = 0;
+};
+
+all_pairs_stats all_pairs(const graph& g) {
+  all_pairs_stats s;
+  std::vector<node_id> batch;
+  for (node_id first = 0; first < g.node_count(); first += 64) {
+    batch.clear();
+    for (node_id v = first; v < g.node_count() && batch.size() < 64; ++v) {
+      batch.push_back(v);
     }
+    bfs_batch(g, batch, [&s](node_id, hop_count d, std::uint64_t mask) {
+      if (d == 0) return;
+      const auto k = static_cast<std::uint64_t>(std::popcount(mask));
+      s.total += k * d;
+      s.pairs += k;
+      s.diameter = std::max<std::size_t>(s.diameter, d);
+    });
   }
-  return pairs == 0 ? 0.0 : total / static_cast<double>(pairs);
+  return s;
 }
 
-std::size_t diameter_exact(const graph& g) {
-  std::size_t best = 0;
-  for (node_id s = 0; s < g.node_count(); ++s) {
-    for (hop_count d : bfs_distances(g, s)) {
-      if (d != unreachable) best = std::max<std::size_t>(best, d);
-    }
-  }
-  return best;
+double mean_path_length(const all_pairs_stats& s) {
+  return s.pairs == 0 ? 0.0
+                      : static_cast<double>(s.total) / static_cast<double>(s.pairs);
 }
+
+}  // namespace
+
+double average_path_length_exact(const graph& g) {
+  return mean_path_length(all_pairs(g));
+}
+
+std::size_t diameter_exact(const graph& g) { return all_pairs(g).diameter; }
 
 table1_row summarize_network(const graph& g, std::size_t exact_threshold,
                              std::size_t samples, std::uint64_t seed) {
@@ -59,8 +78,9 @@ table1_row summarize_network(const graph& g, std::size_t exact_threshold,
   if (g.node_count() < 2) return row;
 
   if (g.node_count() <= exact_threshold) {
-    row.avg_path_length = average_path_length_exact(g);
-    row.diameter = diameter_exact(g);
+    const all_pairs_stats s = all_pairs(g);
+    row.avg_path_length = mean_path_length(s);
+    row.diameter = s.diameter;
   } else {
     // splitmix64 stream keeps this header-light and deterministic.
     std::uint64_t state = seed;

@@ -25,7 +25,8 @@ struct degree_stats {
 degree_stats compute_degree_stats(const graph& g);
 
 /// Exact average shortest-path length over all ordered reachable pairs
-/// (excluding v->v). O(V·(V+E)); fine up to a few thousand nodes.
+/// (excluding v->v). One bit-parallel BFS per 64 sources (bfs_batch):
+/// O(⌈V/64⌉·D·(V+E)), D the diameter.
 double average_path_length_exact(const graph& g);
 
 /// Monte-Carlo estimate of the average shortest-path length: BFS from
@@ -34,7 +35,7 @@ double average_path_length_exact(const graph& g);
 template <typename pick_fn>
 double average_path_length_sampled(const graph& g, std::size_t samples, pick_fn&& pick);
 
-/// Exact diameter (max finite pairwise distance). O(V·(V+E)).
+/// Exact diameter (max finite pairwise distance). O(⌈V/64⌉·D·(V+E)).
 std::size_t diameter_exact(const graph& g);
 
 /// One row of Table 1.

@@ -1,7 +1,10 @@
 #include "topo/mbone.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -30,15 +33,26 @@ graph make_mbone(const mbone_params& p, rng& gen) {
   }
   ids.resize(p.overlay_nodes);
 
-  // Hop distances between overlay routers: one BFS per overlay node.
+  // Hop distances between overlay routers: one bit-parallel BFS over the
+  // substrate per 64 overlay routers, written through an overlay-index map.
   const std::size_t n = p.overlay_nodes;
+  std::vector<std::uint32_t> overlay_index(substrate.node_count(), p.overlay_nodes);
+  for (std::size_t i = 0; i < n; ++i) overlay_index[ids[i]] = static_cast<std::uint32_t>(i);
   std::vector<std::uint16_t> dist(n * n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::vector<hop_count> d = bfs_distances(substrate, ids[i]);
-    for (std::size_t j = 0; j < n; ++j) {
-      MCAST_ASSERT(d[ids[j]] != unreachable);
-      dist[i * n + j] = static_cast<std::uint16_t>(d[ids[j]]);
-    }
+  for (std::size_t first = 0; first < n; first += 64) {
+    const std::size_t count = std::min<std::size_t>(64, n - first);
+    std::size_t reported = 0;
+    bfs_batch(substrate, std::span<const node_id>(ids).subspan(first, count),
+              [&](node_id v, hop_count d, std::uint64_t mask) {
+                const std::size_t j = overlay_index[v];
+                if (j == n) return;
+                reported += static_cast<std::size_t>(std::popcount(mask));
+                for (; mask != 0; mask &= mask - 1) {
+                  const std::size_t i = first + static_cast<std::size_t>(std::countr_zero(mask));
+                  dist[i * n + j] = static_cast<std::uint16_t>(d);
+                }
+              });
+    MCAST_ASSERT(reported == count * n);  // the substrate is connected
   }
 
   // Tunnel MST over the hop-distance metric (Prim). Chain-heavy by nature.

@@ -78,8 +78,12 @@ graph make_waxman(const waxman_params& p, rng& gen,
   b.set_name("waxman" + std::to_string(p.nodes));
   for (node_id u = 0; u < p.nodes; ++u) {
     for (node_id v = u + 1; v < p.nodes; ++v) {
-      const double prob = p.alpha * std::exp(-dist(pos[u], pos[v]) / scale);
-      if (gen.chance(prob)) b.add_edge(u, v);
+      // Same single draw as gen.chance(prob). prob <= alpha exactly
+      // (exp(-x) <= 1 for x >= 0, rounding is monotone), so r >= alpha
+      // rejects without computing prob.
+      const double r = gen.uniform();
+      if (r >= p.alpha) continue;
+      if (r < p.alpha * std::exp(-dist(pos[u], pos[v]) / scale)) b.add_edge(u, v);
     }
   }
   graph g = b.build();

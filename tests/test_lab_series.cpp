@@ -1,12 +1,13 @@
-// Engine-level series guarantees for the analytic figures (2, 3, 4) and
-// the affinity figure (9):
+// Engine-level series guarantees for the analytic figures (2, 3, 4), the
+// affinity figure (9) and the network suite (table1, fig1):
 //   * byte-identical output across scheduler thread counts (1 vs 4) and
 //     with the SPT cache on or off — the scheduler splices sweep points
 //     back in index order, so parallelism must never show in the bytes;
 //   * byte-identical to the checked-in goldens under tests/data/ (the
 //     exact text the retired per-figure binaries printed at scale 0, plus
 //     fig9 at scale 1, which pins the Metropolis chain and the greedy
-//     envelopes at paper-sized group counts);
+//     envelopes at paper-sized group counts, and table1 at scale 1, which
+//     pins the full-size generators and all-pairs statistics);
 //   * differentially identical to a direct closed-form recomputation
 //     (fig2's h(x) and fig4's L(m)/D evaluated straight from
 //     analysis/kary_exact.hpp at the recorded x grid).
@@ -16,24 +17,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <stdexcept>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/kary_exact.hpp"
 #include "experiments.hpp"
+#include "golden_file.hpp"
 #include "lab/engine.hpp"
 #include "lab/registry.hpp"
 
 namespace mcast::lab {
 namespace {
-
-#ifndef MCAST_TEST_DATA_DIR
-#error "MCAST_TEST_DATA_DIR must be defined by the build"
-#endif
 
 const registry& builtin() {
   static const registry reg = [] {
@@ -60,30 +55,11 @@ run_outcome run_at_scale0(const std::string& id, std::size_t threads,
   return run_at_scale(id, 0, threads, use_spt_cache);
 }
 
-std::string data_path(const std::string& file) {
-  return std::string(MCAST_TEST_DATA_DIR) + "/" + file;
-}
-
-bool regen() { return std::getenv("MCAST_REGEN_GOLDEN") != nullptr; }
-
-// Compares a run's rendered text against tests/data/lab_<id>_scale<S>.txt
-// byte for byte (or rewrites it under MCAST_REGEN_GOLDEN=1).
+// Compares a run's rendered text against tests/data/lab_<id>_scale<S>.txt.
 void check_golden(const std::string& id, const std::string& rendered,
                   int scale = 0) {
-  const std::string path =
-      data_path("lab_" + id + "_scale" + std::to_string(scale) + ".txt");
-  if (regen()) {
-    std::ofstream out(path, std::ios::binary);
-    ASSERT_TRUE(out) << "cannot write " << path;
-    out << rendered;
-    return;
-  }
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in) << "missing golden " << path
-                  << " (regenerate with MCAST_REGEN_GOLDEN=1)";
-  std::ostringstream want;
-  want << in.rdbuf();
-  EXPECT_EQ(rendered, want.str()) << id << " drifted from " << path;
+  testgolden::check_file("lab_" + id + "_scale" + std::to_string(scale) + ".txt",
+                         rendered);
 }
 
 class lab_series : public ::testing::TestWithParam<const char*> {};
@@ -105,11 +81,23 @@ TEST_P(lab_series, thread_count_and_cache_invariant_and_golden) {
 INSTANTIATE_TEST_SUITE_P(analytic_figures, lab_series,
                          ::testing::Values("fig2", "fig3", "fig4", "fig9"));
 
+// The network suite: every catalog generator, the all-pairs path
+// statistics (table1) and the Monte-Carlo runner over them (fig1).
+INSTANTIATE_TEST_SUITE_P(network_figures, lab_series,
+                         ::testing::Values("table1", "fig1"));
+
 // fig9 at scale 1 (n_max 2048 on binary trees of depth 10 and 12): the
 // grid the paper plots, where every Metropolis sweep and greedy envelope
 // step runs at full size.
 TEST(lab_series_golden, fig9_scale1) {
   check_golden("fig9", run_at_scale("fig9", 1, 4, true).output.str(), 1);
+}
+
+// table1 at scale 1: the full-size suite, with the 2500-router MBone
+// overlay over an 8000-node Waxman substrate and exact path statistics on
+// every network up to 4000 nodes.
+TEST(lab_series_golden, table1_scale1) {
+  check_golden("table1", run_at_scale("table1", 1, 4, true).output.str(), 1);
 }
 
 // Parses "k=K,D=D  (...)" labels emitted by fig2/fig4.
