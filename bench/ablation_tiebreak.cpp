@@ -29,7 +29,7 @@ void register_ablation_tiebreak(registry& reg) {
       p_u64("sources", "random sources per network", 4, 15, 40),
       p_u64("seed", "Monte-Carlo seed", 4242),
   };
-  e.metric_groups = {"monte_carlo", "traversal", "spt_cache"};
+  e.metric_groups = {"monte_carlo", "traversal"};
   e.run = [](context& ctx) {
     const node_id budget = static_cast<node_id>(ctx.u64("budget"));
     const auto suite = paper_networks();

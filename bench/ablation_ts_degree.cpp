@@ -31,7 +31,7 @@ void register_ablation_ts_degree(registry& reg) {
       p_u64("sources", "random sources per topology", 4, 15, 40),
       p_u64("seed", "Monte-Carlo seed", 31337),
   };
-  e.metric_groups = {"monte_carlo", "traversal", "spt_cache"};
+  e.metric_groups = {"monte_carlo", "traversal"};
   e.run = [](context& ctx) {
     monte_carlo_params mc = ctx.monte_carlo();
     mc.receiver_sets = ctx.u64("receiver_sets");

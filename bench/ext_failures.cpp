@@ -65,7 +65,7 @@ void register_ext_failures(registry& reg) {
       p_u64("grid_points", "group-size grid points", 8, 14, 20),
       p_real("horizon", "session-trace time horizon", 150.0, 600.0, 2400.0),
   };
-  e.metric_groups = {"monte_carlo", "traversal", "spt_cache", "repair", "session"};
+  e.metric_groups = {"monte_carlo", "traversal", "repair", "session"};
   e.run = [](context& ctx) {
     const std::uint64_t seed = ctx.u64("seed");
     ctx.line("# seed: " + std::to_string(seed));

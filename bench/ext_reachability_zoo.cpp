@@ -43,7 +43,7 @@ void register_ext_reachability_zoo(registry& reg) {
       p_u64("seed", "Monte-Carlo seed", 55),
       p_u64("reach_seed", "reachability source-sampling seed", 2),
   };
-  e.metric_groups = {"monte_carlo", "traversal", "spt_cache"};
+  e.metric_groups = {"monte_carlo", "traversal"};
   e.run = [](context& ctx) {
     const node_id n_small = static_cast<node_id>(ctx.u64("nodes"));
     struct zoo_entry {

@@ -32,7 +32,7 @@ void register_ext_sessions(registry& reg) {
       p_real("horizon", "simulated time horizon", 400.0, 2000.0, 8000.0),
       p_u64("session_seed", "session simulator seed", 77),
   };
-  e.metric_groups = {"monte_carlo", "traversal", "spt_cache", "session"};
+  e.metric_groups = {"monte_carlo", "traversal", "session"};
   e.run = [](context& ctx) {
     const graph g = make_transit_stub(ts1000_params(), 6);
     monte_carlo_params mc = ctx.monte_carlo();

@@ -81,7 +81,7 @@ void register_fig1(registry& reg) {
       p_u64("seed", "Monte-Carlo seed", 1999),
       p_u64("grid_points", "group sizes on the log grid", 10, 22, 30),
   };
-  e.metric_groups = {"monte_carlo", "traversal", "spt_cache"};
+  e.metric_groups = {"monte_carlo", "traversal"};
   e.run = [](context& ctx) {
     const std::string& suite = ctx.text("suite");
     if (suite != "generated" && suite != "real" && suite != "all") {

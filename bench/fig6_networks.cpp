@@ -32,7 +32,7 @@ void register_fig6(registry& reg) {
       p_u64("seed", "Monte-Carlo seed", 66),
       p_u64("grid_points", "group sizes on the log grid", 8, 18, 26),
   };
-  e.metric_groups = {"monte_carlo", "traversal", "spt_cache"};
+  e.metric_groups = {"monte_carlo", "traversal"};
   e.run = [](context& ctx) {
     const node_id budget = static_cast<node_id>(ctx.u64("budget"));
     const node_id scale_budget = budget < 30000 ? budget : 0;

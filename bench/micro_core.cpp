@@ -2,26 +2,24 @@
 // Monte-Carlo loop is built from: BFS, delivery-tree growth, receiver
 // sampling, k-ary index arithmetic, RNG throughput, exact-formula
 // evaluation and the affinity chain move; Table 1's all-pairs pass and the
-// MBone build — plus the before/after pair for the workspace + spt_cache
-// hot path (bm_mc_repeated_source_*), whose items/sec ratio is the
-// headline speedup in docs/performance.md.
+// MBone build — plus the Monte-Carlo runner itself (bm_mc_measure_ts1000),
+// whose samples/sec and allocations per sample docs/performance.md quotes.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
-#include <optional>
 
 #include "analysis/kary_exact.hpp"
 #include "analysis/reachability.hpp"
+#include "core/runner.hpp"
 #include "graph/bfs.hpp"
 #include "graph/metrics.hpp"
 #include "graph/workspace.hpp"
 #include "multicast/affinity.hpp"
 #include "multicast/delivery_tree.hpp"
 #include "multicast/receivers.hpp"
-#include "multicast/spt_cache.hpp"
 #include "obs/metrics.hpp"
 #include "sim/rng.hpp"
 #include "topo/cache.hpp"
@@ -136,144 +134,39 @@ void bm_reachability_profile(benchmark::State& state) {
 }
 BENCHMARK(bm_reachability_profile);
 
-// Before/after pair for the PR's hot-path work. Both run the same
-// repeated-source Monte-Carlo inner loop on ts1000 (sources drawn with
-// replacement from a small pool, m receivers with replacement per sample,
-// delivery-tree size + unicast total per sample — exactly the core/runner
-// sample). "seed" allocates everything per sample the way the pre-workspace
-// code did; "cached" uses the traversal workspace, the spt_cache and the
-// reusable builder/sample buffers. items/sec == samples/sec.
-
-constexpr std::size_t kMcSourcePool = 16;
-constexpr std::size_t kMcGroupSize = 32;
-
-std::vector<node_id> mc_source_pool(const graph& g) {
-  rng gen(42);
-  std::vector<node_id> pool(kMcSourcePool);
-  for (node_id& s : pool) s = static_cast<node_id>(gen.below(g.node_count()));
-  return pool;
-}
-
-void bm_mc_repeated_source_seed(benchmark::State& state) {
+// The Monte-Carlo runner as the figures call it: measure_distinct_receivers
+// on ts1000 with one thread, so each source's SPT is built once on the
+// worker's workspace and serves every (group size x receiver set) sample.
+// items/sec == samples/sec. Arg(1) runs with the obs registry
+// runtime-disabled: the in-binary approximation of the MCAST_OBS_DISABLED
+// A/B (the real compile-time comparison is CI's cross-build job), so the
+// items/sec gap between the two args bounds the hook overhead.
+void bm_mc_measure_ts1000(benchmark::State& state) {
   const graph& g = ts1000_graph();
-  const std::vector<node_id> pool = mc_source_pool(g);
-  rng gen(8);
+  const std::vector<std::uint64_t> group_sizes = {8, 32, 128};
+  monte_carlo_params params;
+  params.sources = 16;
+  params.receiver_sets = 32;
+  params.threads = 1;
+  const bool obs_off = state.range(0) != 0;
+  if (obs_off) obs::set_enabled(false);
   const std::uint64_t allocs_before =
       g_heap_allocs.load(std::memory_order_relaxed);
   for (auto _ : state) {
-    const node_id source = pool[gen.below(pool.size())];
-    const source_tree tree(g, source);
-    const auto universe = all_sites_except(g, source);
-    delivery_tree_builder builder(tree);
-    std::uint64_t path_total = 0;
-    for (node_id v : sample_with_replacement(universe, kMcGroupSize, gen)) {
-      builder.add_receiver(v);
-      path_total += tree.distance(v);
-    }
-    benchmark::DoNotOptimize(builder.link_count());
-    benchmark::DoNotOptimize(path_total);
+    const auto rows = measure_distinct_receivers(g, group_sizes, params);
+    benchmark::DoNotOptimize(rows.data());
   }
-  state.SetItemsProcessed(state.iterations());
+  const std::uint64_t allocs =
+      g_heap_allocs.load(std::memory_order_relaxed) - allocs_before;
+  if (obs_off) obs::set_enabled(true);
+  const auto samples = static_cast<std::int64_t>(
+      params.sources * params.receiver_sets * group_sizes.size());
+  state.SetItemsProcessed(state.iterations() * samples);
   state.counters["allocs_per_sample"] = benchmark::Counter(
-      static_cast<double>(g_heap_allocs.load(std::memory_order_relaxed) -
-                          allocs_before) /
-      static_cast<double>(state.iterations()));
+      static_cast<double>(allocs) /
+      static_cast<double>(state.iterations() * samples));
 }
-BENCHMARK(bm_mc_repeated_source_seed);
-
-void bm_mc_repeated_source_cached(benchmark::State& state) {
-  const graph& g = ts1000_graph();
-  const std::vector<node_id> pool = mc_source_pool(g);
-  rng gen(8);
-  traversal_workspace ws;
-  spt_cache cache(64);
-  std::vector<node_id> universe;
-  std::vector<node_id> sample;
-  std::optional<delivery_tree_builder> builder;
-  const std::uint64_t allocs_before =
-      g_heap_allocs.load(std::memory_order_relaxed);
-  // Hit/miss accounting comes from the obs registry (the cache reports
-  // there as it runs) rather than from bench-side bookkeeping.
-  const obs::metrics_snapshot obs_before = obs::snapshot();
-  for (auto _ : state) {
-    const node_id source = pool[gen.below(pool.size())];
-    const auto spt = cache.get(g, source, ws);
-    universe.clear();
-    for (node_id v = 0; v < g.node_count(); ++v) {
-      if (v != source) universe.push_back(v);
-    }
-    if (builder) {
-      builder->rebind(*spt);
-    } else {
-      builder.emplace(*spt);
-    }
-    sample_with_replacement_into(universe, kMcGroupSize, gen, sample);
-    std::uint64_t path_total = 0;
-    for (node_id v : sample) {
-      builder->add_receiver(v);
-      path_total += spt->distance(v);
-    }
-    benchmark::DoNotOptimize(builder->link_count());
-    benchmark::DoNotOptimize(path_total);
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.counters["allocs_per_sample"] = benchmark::Counter(
-      static_cast<double>(g_heap_allocs.load(std::memory_order_relaxed) -
-                          allocs_before) /
-      static_cast<double>(state.iterations()));
-  if (obs::compiled_in) {
-    const obs::metrics_snapshot obs_after = obs::snapshot();
-    const double hits =
-        static_cast<double>(obs_after.at(obs::counter::spt_cache_hits) -
-                            obs_before.at(obs::counter::spt_cache_hits));
-    const double misses =
-        static_cast<double>(obs_after.at(obs::counter::spt_cache_misses) -
-                            obs_before.at(obs::counter::spt_cache_misses));
-    state.counters["cache_hit_rate"] = benchmark::Counter(
-        hits + misses == 0.0 ? 0.0 : hits / (hits + misses));
-  }
-}
-BENCHMARK(bm_mc_repeated_source_cached);
-
-// The same loop with the obs registry runtime-disabled: the in-binary
-// approximation of the MCAST_OBS_DISABLED A/B (the real compile-time
-// comparison is CI's cross-build job). items/sec here vs the instrumented
-// bench above bounds the observable hook overhead on the hot path.
-void bm_mc_repeated_source_cached_obs_off(benchmark::State& state) {
-  const graph& g = ts1000_graph();
-  const std::vector<node_id> pool = mc_source_pool(g);
-  rng gen(8);
-  traversal_workspace ws;
-  spt_cache cache(64);
-  std::vector<node_id> universe;
-  std::vector<node_id> sample;
-  std::optional<delivery_tree_builder> builder;
-  obs::set_enabled(false);
-  for (auto _ : state) {
-    const node_id source = pool[gen.below(pool.size())];
-    const auto spt = cache.get(g, source, ws);
-    universe.clear();
-    for (node_id v = 0; v < g.node_count(); ++v) {
-      if (v != source) universe.push_back(v);
-    }
-    if (builder) {
-      builder->rebind(*spt);
-    } else {
-      builder.emplace(*spt);
-    }
-    sample_with_replacement_into(universe, kMcGroupSize, gen, sample);
-    std::uint64_t path_total = 0;
-    for (node_id v : sample) {
-      builder->add_receiver(v);
-      path_total += spt->distance(v);
-    }
-    benchmark::DoNotOptimize(builder->link_count());
-    benchmark::DoNotOptimize(path_total);
-  }
-  obs::set_enabled(true);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(bm_mc_repeated_source_cached_obs_off);
+BENCHMARK(bm_mc_measure_ts1000)->ArgName("obs_off")->Arg(0)->Arg(1);
 
 // Raw hook costs, for the overhead table in docs/observability.md.
 void bm_obs_counter_add(benchmark::State& state) {
@@ -291,8 +184,8 @@ void bm_obs_histogram_record(benchmark::State& state) {
 }
 BENCHMARK(bm_obs_histogram_record);
 
-// The workspace alone (no memoization): same BFS every iteration, scratch
-// reused across passes. Isolates the epoch-reset win from the cache win.
+// The workspace BFS: same traversal as bm_bfs_ts1000, scratch reused
+// across passes.
 void bm_bfs_ts1000_workspace(benchmark::State& state) {
   const graph& g = ts1000_graph();
   rng gen(1);

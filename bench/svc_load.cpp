@@ -643,7 +643,6 @@ int chaos_main(const options& opt) {
       "cost-aware shedding tiers exercised deterministically";
   record.scale = lab::scale_from_env();
   record.threads = opt.workers;
-  record.use_spt_cache = true;
   record.parameters.set("connections",
                         static_cast<std::uint64_t>(opt.connections));
   record.parameters.set("requests", static_cast<std::uint64_t>(opt.requests));
@@ -838,7 +837,6 @@ int load_main(const options& opt) {
       "admission-control rejections of the line-JSON query service";
   record.scale = lab::scale_from_env();
   record.threads = opt.workers;
-  record.use_spt_cache = true;
   record.parameters.set("connections",
                         static_cast<std::uint64_t>(opt.connections));
   record.parameters.set("requests", static_cast<std::uint64_t>(opt.requests));

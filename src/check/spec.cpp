@@ -111,8 +111,7 @@ std::string validate_metric_path(const std::string& path) {
   }
   if (starts("derived.")) {
     const std::string rest = path.substr(8);
-    if (rest == "spt_cache_hit_rate" || rest == "scheduler_busy_fraction" ||
-        rest == "traversal_passes") {
+    if (rest == "scheduler_busy_fraction" || rest == "traversal_passes") {
       return {};
     }
     return "unknown metric '" + path + "'";

@@ -3,7 +3,7 @@
 // A spec is a list of rules over three artifact kinds:
 //
 //  * run manifests (BENCH_<id>.json): counter/gauge/histogram invariants
-//    ("assert counter.spt_cache.hits + counter.spt_cache.misses >= ..."),
+//    ("assert counter.mc.source_tasks >= ..."),
 //    range assertions, and presence/absence of metric groups and fits;
 //  * Chrome traces (`mcast_lab run --profile` output): causal nesting
 //    rules ("span sweep_point within experiment:*"), per-span duration
@@ -94,8 +94,8 @@ struct spec {
 };
 
 /// Parse failure: what() is fully rendered, e.g.
-///   service.expect:3:8: unknown metric 'counter.spt_cache.hitz'
-///     assert counter.spt_cache.hitz >= 0
+///   service.expect:3:8: unknown metric 'counter.traversal.bfs_passez'
+///     assert counter.traversal.bfs_passez >= 0
 ///            ^
 class spec_error : public std::runtime_error {
  public:

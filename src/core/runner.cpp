@@ -11,7 +11,6 @@
 #include "multicast/delivery_tree.hpp"
 #include "multicast/receivers.hpp"
 #include "multicast/spt.hpp"
-#include "multicast/spt_cache.hpp"
 #include "multicast/unicast.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -55,18 +54,36 @@ rng task_stream(std::uint64_t seed, std::size_t s, std::uint64_t salt) {
 // source tasks cannot perturb any result.
 struct worker_context {
   traversal_workspace ws;
-  spt_cache cache{64};
   std::vector<node_id> universe;
   std::vector<node_id> sample;
   std::optional<delivery_tree_builder> builder;
 };
 
-// The work of one source: draw the source, build (or fetch) its SPT, run
-// all (group size x receiver set) samples into `out` (size = group count).
+// The SPT of one source task, built on the worker's workspace: honoring
+// `view`'s failure mask when it is non-null, with randomized tie-breaking
+// (drawn from `parent_gen`) when the ablation asks for it.
+source_tree build_source_tree(const graph& g, const degraded_view* view,
+                              const monte_carlo_params& params, node_id source,
+                              rng& parent_gen, traversal_workspace& ws) {
+  if (params.randomize_spt_parents) {
+    return source_tree(g, bfs_from_random_parents(
+                              g, source, [&parent_gen](std::uint32_t k) {
+                                return parent_gen.below(k);
+                              }));
+  }
+  if (view != nullptr) {
+    bfs_tree t;
+    return source_tree(g, std::move(bfs_from(*view, source, ws, t)));
+  }
+  return source_tree(g, source, ws);
+}
+
+// The work of one source: draw the source, build its SPT, run all
+// (group size x receiver set) samples into `out` (size = group count).
 // When `view` is non-null the SPT and the candidate universe honor its
 // failure mask, and group sizes the source cannot satisfy are skipped.
-// The context supplies the reusable SPT cache, traversal workspace and
-// sample buffers of the calling worker thread.
+// The context supplies the reusable traversal workspace and sample
+// buffers of the calling worker thread.
 void run_one_source(const graph& g, const degraded_view* view,
                     const std::vector<std::uint64_t>& group_sizes,
                     const monte_carlo_params& params, receiver_model model,
@@ -76,32 +93,8 @@ void run_one_source(const graph& g, const degraded_view* view,
   rng gen = task_stream(params.seed, s, /*salt=*/0);
   const node_id source = source_pool[gen.below(source_pool.size())];
   rng parent_gen = task_stream(params.seed, s, /*salt=*/0x7469656272656b00ULL);
-
-  // The SPT either lives in the worker's cache (shared_ptr keeps it alive
-  // for this task even if evicted) or in task-local storage.
-  std::shared_ptr<const source_tree> from_cache;
-  std::optional<source_tree> local;
-  if (params.randomize_spt_parents && view == nullptr) {
-    // Randomized tie-breaking consumes parent_gen, so every task's tree is
-    // unique — nothing to memoize.
-    local.emplace(g, bfs_from_random_parents(
-                         g, source,
-                         [&parent_gen](std::uint32_t k) {
-                           return parent_gen.below(k);
-                         }));
-  } else if (view != nullptr) {
-    if (params.use_spt_cache) {
-      from_cache = ctx.cache.get(*view, source, ctx.ws);
-    } else {
-      bfs_tree t;
-      local.emplace(g, std::move(bfs_from(*view, source, ctx.ws, t)));
-    }
-  } else if (params.use_spt_cache) {
-    from_cache = ctx.cache.get(g, source, ctx.ws);
-  } else {
-    local.emplace(g, source, ctx.ws);
-  }
-  const source_tree& spt = from_cache ? *from_cache : *local;
+  const source_tree spt =
+      build_source_tree(g, view, params, source, parent_gen, ctx.ws);
 
   ctx.universe.clear();
   if (view == nullptr) {
@@ -187,8 +180,8 @@ std::vector<std::vector<mc_cell>> measure_sources(
 
   // Every source task writes its own accumulator block; blocks are merged
   // in source order afterwards, so the result is independent of both the
-  // thread count and the scheduling. Each worker owns its cache and
-  // workspace: no sharing, no locks, and — because cache state can never
+  // thread count and the scheduling. Each worker owns its workspace and
+  // buffers: no sharing, no locks, and — because scratch state can never
   // alter a tree — no dependence of the results on which worker ran which
   // source.
   std::vector<std::vector<mc_cell>> per_source(

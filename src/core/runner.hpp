@@ -34,12 +34,6 @@ struct monte_carlo_params {
   /// count — 1 and N produce the same numbers. 0 means "hardware
   /// concurrency".
   std::size_t threads = 1;
-  /// Memoize per-source shortest-path trees in a per-worker spt_cache
-  /// (multicast/spt_cache.hpp). Pure engine knob: the SPT is a
-  /// deterministic function of (graph, view state, source), so results are
-  /// byte-identical with the cache on or off — locked down by
-  /// tests/test_cache_property.cpp. Off is only useful for A/B benching.
-  bool use_spt_cache = true;
 };
 
 /// One group-size row of a measurement.

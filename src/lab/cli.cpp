@@ -63,7 +63,6 @@ void usage(std::ostream& out) {
          "  --param k=v              override a parameter (repeatable)\n"
          "  --scale N                effort tier (overrides MCAST_BENCH_SCALE)\n"
          "  --threads N              scheduler workers (0 = hardware)\n"
-         "  --no-cache               disable the per-source SPT cache\n"
          "  --manifest-dir DIR       where BENCH_<id>.json lands (default .)\n"
          "  --out-dir DIR            also write per-experiment <id>.dat files\n"
          "  --no-manifest            skip writing run manifests\n"
@@ -113,8 +112,6 @@ run_flags parse_run_flags(const std::vector<std::string>& args) {
     } else if (arg == "--threads") {
       flags.options.threads = static_cast<std::size_t>(
           parse_u64(next_arg(args, i, arg), "--threads"));
-    } else if (arg == "--no-cache") {
-      flags.options.use_spt_cache = false;
     } else if (arg == "--manifest-dir") {
       flags.manifest_dir = next_arg(args, i, arg);
     } else if (arg == "--out-dir") {
@@ -217,7 +214,6 @@ int run_one(const experiment& exp, const run_flags& flags) {
             << " threads="
             << (flags.options.threads == 0 ? std::string("auto")
                                            : std::to_string(flags.options.threads))
-            << " cache=" << (flags.options.use_spt_cache ? "on" : "off")
             << "\n";
   const run_outcome outcome = run_experiment(exp, flags.options);
   outcome.output.render(std::cout);

@@ -7,7 +7,7 @@
 //   mcast_lab validate <dir>            schema-check BENCH_*.json manifests
 //
 // Run options: --param k=v (repeatable), --scale N (overrides
-// MCAST_BENCH_SCALE), --threads N (0 = hardware), --no-cache,
+// MCAST_BENCH_SCALE), --threads N (0 = hardware),
 // --manifest-dir DIR (default "."), --out-dir DIR (also write per-
 // experiment <id>.dat series files), --no-manifest.
 //

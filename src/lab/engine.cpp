@@ -28,8 +28,7 @@ run_outcome run_experiment(const experiment& exp, const run_options& opts) {
     out.output.text("");
   }
 
-  context ctx(exp, params, opts.scale, threads, opts.use_spt_cache,
-              out.output);
+  context ctx(exp, params, opts.scale, threads, out.output);
   const auto wall_start = std::chrono::steady_clock::now();
   const std::clock_t cpu_start = std::clock();
   {
@@ -45,7 +44,6 @@ run_outcome run_experiment(const experiment& exp, const run_options& opts) {
   record.claim = exp.claim;
   record.scale = opts.scale;
   record.threads = threads;
-  record.use_spt_cache = opts.use_spt_cache;
   record.parameters = params;
   record.git_revision = current_git_revision();
   record.timestamp_utc = utc_timestamp();

@@ -22,7 +22,6 @@ namespace mcast::lab {
 struct run_options {
   int scale = 1;             ///< effort tier (0 smoke / 1 normal / >=2 paper)
   std::size_t threads = 0;   ///< scheduler workers; 0 = hardware concurrency
-  bool use_spt_cache = true; ///< reuse per-source SPTs inside Monte-Carlo
   bool banner = true;        ///< emit the classic "== id ==" header lines
   /// `--param name=value` overrides, applied after scale defaults.
   std::vector<std::pair<std::string, std::string>> overrides;

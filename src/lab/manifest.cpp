@@ -47,7 +47,6 @@ json::value to_json(const run_record& record) {
   doc.set("scale", json::value::number(record.scale));
   doc.set("threads",
           json::value::number(static_cast<double>(record.threads)));
-  doc.set("use_spt_cache", json::value::boolean(record.use_spt_cache));
 
   json::value params = json::value::object();
   json::value seeds = json::value::object();
@@ -152,8 +151,6 @@ std::vector<std::string> validate_manifest(const json::value& doc) {
       threads->as_number() < 1) {
     problems.push_back("field 'threads' must be >= 1");
   }
-  require(doc, "use_spt_cache", json::value::kind::boolean, "a boolean",
-          problems);
   require(doc, "parameters", json::value::kind::object, "an object", problems);
   require(doc, "seeds", json::value::kind::object, "an object", problems);
   require(doc, "git_revision", json::value::kind::string, "a string",
@@ -218,8 +215,6 @@ std::vector<std::string> validate_manifest(const json::value& doc) {
             problems);
     if (const json::value* derived = metrics->get("derived");
         derived != nullptr && derived->is(json::value::kind::object)) {
-      require(*derived, "spt_cache_hit_rate", json::value::kind::number,
-              "a number", problems);
       require(*derived, "scheduler_busy_fraction", json::value::kind::number,
               "a number", problems);
       require(*derived, "traversal_passes", json::value::kind::number,

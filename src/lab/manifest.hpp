@@ -14,8 +14,11 @@
 //   mcast-lab-manifest/1 — id/params/seeds/timing/fits/series.
 //   mcast-lab-manifest/2 — adds the `metrics` section: the obs registry
 //     snapshot scoped to the run (counters, gauges, histogram summaries)
-//     plus derived headline rates (cache hit rate, scheduler busy
-//     fraction), and the experiment's declared metric_groups.
+//     plus derived headline rates (scheduler busy fraction, traversal
+//     passes), and the experiment's declared metric_groups. The name
+//     stayed when the per-source SPT cache was deleted: its top-level
+//     on/off flag and its derived hit rate are gone, and the validator
+//     ignores them in older manifests.
 #pragma once
 
 #include <cstddef>
@@ -39,7 +42,6 @@ struct run_record {
   std::string claim;
   int scale = 0;
   std::size_t threads = 1;
-  bool use_spt_cache = true;
   param_set parameters;
   std::string git_revision;
   std::string timestamp_utc;  ///< ISO-8601, e.g. "2026-08-06T12:00:00Z"

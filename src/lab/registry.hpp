@@ -8,8 +8,8 @@
 // experiments as a static library cannot silently drop any of them.
 //
 // The `context` passed to a run function is the experiment's entire world:
-// typed parameter access, the resolved scale tier, engine-owned threading
-// and SPT-cache policy, structured output (series / FIT lines / tables),
+// typed parameter access, the resolved scale tier, engine-owned threading,
+// structured output (series / FIT lines / tables),
 // and `sweep()` for fanning independent points over worker threads.
 #pragma once
 
@@ -40,7 +40,7 @@ struct experiment {
   std::string claim;               ///< "# reproduces:" banner text
   std::vector<param_spec> params;  ///< declared, tiered parameters
   /// Obs metric groups this experiment exercises (e.g. "traversal",
-  /// "spt_cache", "scheduler") — documentation surfaced by `describe` and
+  /// "monte_carlo", "scheduler") — documentation surfaced by `describe` and
   /// stamped into the manifest; the registry snapshot itself always
   /// carries every metric.
   std::vector<std::string> metric_groups;
@@ -67,12 +67,11 @@ class registry {
 class context {
  public:
   context(const experiment& exp, const param_set& params, int scale,
-          std::size_t threads, bool use_spt_cache, recorder& rec)
+          std::size_t threads, recorder& rec)
       : exp_(exp),
         params_(params),
         scale_(scale),
         threads_(threads),
-        use_spt_cache_(use_spt_cache),
         rec_(rec) {}
 
   const experiment& exp() const noexcept { return exp_; }
@@ -94,15 +93,11 @@ class context {
   /// Worker threads the engine granted this run (>= 1, already resolved).
   std::size_t threads() const noexcept { return threads_; }
 
-  /// Whether Monte-Carlo measurement should reuse cached per-source SPTs.
-  bool use_spt_cache() const noexcept { return use_spt_cache_; }
-
-  /// Monte-Carlo parameters with the engine-owned fields (threads, SPT
-  /// cache policy) prefilled; the experiment sets sizes and the seed.
+  /// Monte-Carlo parameters with the engine-owned thread count
+  /// prefilled; the experiment sets sizes and the seed.
   monte_carlo_params monte_carlo() const {
     monte_carlo_params p;
     p.threads = threads_;
-    p.use_spt_cache = use_spt_cache_;
     return p;
   }
 
@@ -138,7 +133,6 @@ class context {
   const param_set& params_;
   int scale_;
   std::size_t threads_;
-  bool use_spt_cache_;
   recorder& rec_;
 };
 

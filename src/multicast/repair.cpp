@@ -51,15 +51,19 @@ void diff_links(const std::vector<edge>& old_links,
   }
 }
 
-// Re-converges `broken` onto the already-computed degraded SPT `routing`.
-repaired_tree reconverge(const dynamic_delivery_tree& broken,
-                         const degraded_view& view,
-                         std::shared_ptr<const source_tree> routing) {
+}  // namespace
+
+repaired_tree repair_delivery_tree(const dynamic_delivery_tree& broken,
+                                   const degraded_view& view) {
+  expects(broken.base().node_count() == view.base().node_count(),
+          "repair_delivery_tree: view overlays a different topology");
+  [[maybe_unused]] const repair_probe probe;
   const source_tree& old_routing = broken.base();
   const node_id src = old_routing.source();
 
   repaired_tree out;
-  out.routing = std::move(routing);
+  out.routing =
+      std::make_shared<const source_tree>(view.base(), bfs_from(view, src));
   out.delivery = std::make_unique<dynamic_delivery_tree>(*out.routing);
   out.report.source_lost = !view.node_alive(src);
 
@@ -86,29 +90,6 @@ repaired_tree reconverge(const dynamic_delivery_tree& broken,
   obs::add(obs::counter::repair_rerouted, out.report.rerouted.size());
   obs::add(obs::counter::repair_partitioned, out.report.partitioned.size());
   return out;
-}
-
-}  // namespace
-
-repaired_tree repair_delivery_tree(const dynamic_delivery_tree& broken,
-                                   const degraded_view& view) {
-  expects(broken.base().node_count() == view.base().node_count(),
-          "repair_delivery_tree: view overlays a different topology");
-  [[maybe_unused]] const repair_probe probe;
-  const node_id src = broken.base().source();
-  return reconverge(broken, view,
-                    std::make_shared<const source_tree>(view.base(),
-                                                        bfs_from(view, src)));
-}
-
-repaired_tree repair_delivery_tree(const dynamic_delivery_tree& broken,
-                                   const degraded_view& view, spt_cache& cache,
-                                   traversal_workspace& ws) {
-  expects(broken.base().node_count() == view.base().node_count(),
-          "repair_delivery_tree: view overlays a different topology");
-  [[maybe_unused]] const repair_probe probe;
-  return reconverge(broken, view,
-                    cache.get(view, broken.base().source(), ws));
 }
 
 }  // namespace mcast

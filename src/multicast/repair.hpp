@@ -26,9 +26,7 @@
 #include <vector>
 
 #include "fault/degraded.hpp"
-#include "graph/workspace.hpp"
 #include "multicast/dynamic_tree.hpp"
-#include "multicast/spt_cache.hpp"
 
 namespace mcast {
 
@@ -48,8 +46,8 @@ struct repair_report {
 
 /// A repaired delivery tree: new routing base (SPT in the degraded view),
 /// the rebuilt tree, and the repair accounting. The routing base is shared
-/// because it may come from an spt_cache — sessions repaired after the
-/// same failure event reuse one SPT per source.
+/// because the caller hands it on to the owner of the delivery tree
+/// (group_manager::rebase) while keeping it for reachability checks.
 struct repaired_tree {
   std::shared_ptr<const source_tree> routing;
   std::unique_ptr<dynamic_delivery_tree> delivery;
@@ -63,13 +61,5 @@ struct repaired_tree {
 /// topology the tree was built on. Deterministic.
 repaired_tree repair_delivery_tree(const dynamic_delivery_tree& broken,
                                    const degraded_view& view);
-
-/// Hot-path overload: fetches the degraded SPT through `cache` (keyed by
-/// source and view generation, so stale trees can never be served) and
-/// runs the BFS — when it runs at all — on `ws`. Bit-identical to the
-/// overload above.
-repaired_tree repair_delivery_tree(const dynamic_delivery_tree& broken,
-                                   const degraded_view& view, spt_cache& cache,
-                                   traversal_workspace& ws);
 
 }  // namespace mcast

@@ -9,7 +9,6 @@
 #include "graph/workspace.hpp"
 #include "multicast/delivery_tree.hpp"
 #include "multicast/receivers.hpp"
-#include "multicast/spt_cache.hpp"
 
 namespace mcast {
 
@@ -79,7 +78,6 @@ std::vector<tree_comparison> compare_source_vs_shared(
   rng gen(seed);
   const node_id core = choose_core(g, strategy, gen);
   traversal_workspace ws;
-  spt_cache cache(64);
   const source_tree core_tree(g, core, ws);
   delivery_tree_builder core_builder(core_tree);
 
@@ -91,17 +89,15 @@ std::vector<tree_comparison> compare_source_vs_shared(
   std::optional<delivery_tree_builder> src_builder;
   for (std::size_t s = 0; s < sources; ++s) {
     const node_id source = static_cast<node_id>(gen.below(g.node_count()));
-    // Sources are drawn with replacement, so repeats hit the cache; the
-    // tree is deterministic either way (same draws, same numbers).
-    const std::shared_ptr<const source_tree> spt = cache.get(g, source, ws);
+    const source_tree spt(g, source, ws);
     universe.clear();
     for (node_id v = 0; v < g.node_count(); ++v) {
       if (v != source) universe.push_back(v);
     }
     if (src_builder) {
-      src_builder->rebind(*spt);
+      src_builder->rebind(spt);
     } else {
-      src_builder.emplace(*spt);
+      src_builder.emplace(spt);
     }
 
     for (std::size_t gi = 0; gi < group_sizes.size(); ++gi) {

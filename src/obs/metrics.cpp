@@ -63,12 +63,6 @@ bool histogram_from_name(const std::string& name, histogram& out) noexcept {
   return enum_from_name(k_histogram_names, name, out);
 }
 
-double spt_cache_hit_rate(const metrics_snapshot& s) noexcept {
-  const double hits = static_cast<double>(s.at(counter::spt_cache_hits));
-  const double total = hits + static_cast<double>(s.at(counter::spt_cache_misses));
-  return total == 0.0 ? 0.0 : hits / total;
-}
-
 double scheduler_busy_fraction(const metrics_snapshot& s) noexcept {
   const double busy = static_cast<double>(s.at(counter::sched_busy_ns));
   const double worker = static_cast<double>(s.at(counter::sched_worker_ns));
@@ -107,9 +101,7 @@ void render_metrics_summary(std::ostream& out, const metrics_snapshot& s) {
     out << line;
   }
   std::snprintf(line, sizeof line,
-                "  spt_cache hit rate %.1f%%   scheduler busy %.1f%%   "
-                "traversal passes %" PRIu64 "\n",
-                100.0 * spt_cache_hit_rate(s),
+                "  scheduler busy %.1f%%   traversal passes %" PRIu64 "\n",
                 100.0 * scheduler_busy_fraction(s), traversal_passes(s));
   out << line;
 }

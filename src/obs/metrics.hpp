@@ -1,11 +1,11 @@
 // mcast_obs — low-overhead metrics for the traversal/cache/scheduler stack.
 //
 // The Monte-Carlo sweeps behind every figure are fast (workspace reuse,
-// SPT cache, parallel scheduler) but were opaque: BENCH_<id>.json recorded
+// parallel scheduler) but were opaque: BENCH_<id>.json recorded
 // wall/CPU time and nothing about *why* a run was fast or slow. This
 // registry closes that gap with three primitive kinds:
 //
-//  * counters    — monotonic uint64 sums ("BFS passes", "cache hits");
+//  * counters    — monotonic uint64 sums ("BFS passes", "cache misses");
 //  * gauges      — max-merged levels ("scheduler workers granted");
 //  * histograms  — fixed log2-bucket distributions of latencies/sizes,
 //                  summarized as count/sum/p50/p95/p99.
@@ -50,10 +50,9 @@ namespace mcast::obs {
   X(edges_scanned, "traversal.edges_scanned")                    \
   X(workspace_grows, "workspace.grows")                          \
   X(workspace_reuses, "workspace.reuses")                        \
+  /* Never incremented; perfbench/src/{lab,svc}.cpp still read them. */ \
   X(spt_cache_hits, "spt_cache.hits")                            \
   X(spt_cache_misses, "spt_cache.misses")                        \
-  X(spt_cache_evictions, "spt_cache.evictions")                  \
-  X(spt_cache_invalidations, "spt_cache.invalidations")          \
   X(repair_trees, "repair.trees_repaired")                       \
   X(repair_unaffected, "repair.receivers_unaffected")            \
   X(repair_rerouted, "repair.receivers_rerouted")                \
@@ -106,7 +105,6 @@ namespace mcast::obs {
 
 #define MCAST_OBS_GAUGES(X)                  \
   X(sched_workers, "sched.workers")          \
-  X(spt_cache_peak_entries, "spt_cache.peak_entries")  \
   X(topo_cache_peak_entries, "topo_cache.peak_entries")  \
   X(svc_queue_depth_peak, "svc.queue_depth_peak")         \
   X(svc_inflight_peak, "svc.inflight_peak")               \
@@ -146,7 +144,7 @@ inline constexpr std::size_t histogram_count =
     0 MCAST_OBS_HISTOGRAMS(MCAST_OBS_COUNT);
 #undef MCAST_OBS_COUNT
 
-/// Dotted metric name ("spt_cache.hits"); stable across runs and builds.
+/// Dotted metric name ("traversal.bfs_passes"); stable across runs and builds.
 const char* counter_name(counter c) noexcept;
 const char* gauge_name(gauge g) noexcept;
 const char* histogram_name(histogram h) noexcept;
@@ -203,7 +201,6 @@ struct metrics_snapshot {
 };
 
 // Derived headline numbers (0 when the underlying counters are all zero).
-double spt_cache_hit_rate(const metrics_snapshot& s) noexcept;
 double scheduler_busy_fraction(const metrics_snapshot& s) noexcept;
 std::uint64_t traversal_passes(const metrics_snapshot& s) noexcept;
 

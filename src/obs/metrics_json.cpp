@@ -36,7 +36,6 @@ json::value metrics_to_json(const metrics_snapshot& s) {
   m.set("histograms", std::move(histograms));
 
   json::value derived = json::value::object();
-  derived.set("spt_cache_hit_rate", json::value::number(spt_cache_hit_rate(s)));
   derived.set("scheduler_busy_fraction",
               json::value::number(scheduler_busy_fraction(s)));
   derived.set("traversal_passes",

@@ -11,7 +11,6 @@
 #include "group/group_manager.hpp"
 #include "multicast/repair.hpp"
 #include "multicast/spt.hpp"
-#include "multicast/spt_cache.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -26,11 +25,9 @@ struct member_slot {
 };
 
 struct live_session {
-  // Shared because the routing base may live in the simulator's spt_cache:
-  // concurrent sessions with the same source (and repairs after the same
-  // failure event) reuse one SPT. The delivery tree itself lives in the
-  // simulator's group_manager under `group`; the session keeps the routing
-  // base for reachability checks without a manager lookup.
+  // Shared with the simulator's group_manager, which owns the delivery
+  // tree under `group`; the session keeps the routing base for
+  // reachability checks without a manager lookup.
   std::shared_ptr<const source_tree> tree;
   std::string group;                 // manager key within the sim scope
   std::vector<member_slot> members;  // every join ever made, by index
@@ -75,11 +72,9 @@ session_metrics simulate_sessions(const graph& g, const session_workload& w,
   session_metrics metrics;
   metrics.duration = duration;
   degraded_view view(g);
-  // Hot-path scratch: SPTs are memoized per (source, view generation) and
-  // traversals run on one reusable workspace. Both are invisible in the
-  // results (see session_workload::use_spt_cache).
+  // Arrival SPTs are built on one reusable workspace; reuse never changes
+  // a tree.
   traversal_workspace ws;
-  spt_cache cache(64);
   // Every session's tree is a named group: the simulator is the group
   // manager's reference embedder, so session churn exercises exactly the
   // graft/prune path the live group_* service ops run. Names are a
@@ -132,9 +127,7 @@ session_metrics simulate_sessions(const graph& g, const session_workload& w,
   auto repair_session = [&](live_session& s) {
     const dynamic_delivery_tree& broken = groups.delivery(sim_scope, s.group);
     const std::size_t old_links = broken.link_count();
-    repaired_tree r = w.use_spt_cache
-                          ? repair_delivery_tree(broken, view, cache, ws)
-                          : repair_delivery_tree(broken, view);
+    repaired_tree r = repair_delivery_tree(broken, view);
 
     std::uint64_t detached = 0;
     std::uint64_t reattached = 0;
@@ -253,11 +246,9 @@ session_metrics simulate_sessions(const graph& g, const session_workload& w,
       const node_id source = static_cast<node_id>(gen.below(g.node_count()));
       // Routed over the current degraded view; identical to the pristine
       // SPT while nothing is failed.
-      if (w.use_spt_cache) {
-        it->tree = cache.get(view, source, ws);
-      } else {
-        it->tree = std::make_shared<const source_tree>(g, bfs_from(view, source));
-      }
+      bfs_tree t;
+      it->tree = std::make_shared<const source_tree>(
+          g, std::move(bfs_from(view, source, ws, t)));
       it->group = std::to_string(next_group++);
       groups.create(sim_scope, it->group, it->tree);
       it->end_event = events.schedule(

@@ -47,13 +47,6 @@ struct session_workload {
   double member_join_rate = 2.0;      ///< joins per unit time per session, > 0
   double member_lifetime_mean = 5.0;  ///< > 0
   std::size_t max_concurrent_sessions = 64;  ///< arrivals beyond are dropped
-  /// Memoize per-source shortest-path trees in an spt_cache
-  /// (multicast/spt_cache.hpp) shared by arrivals and repairs. Pure engine
-  /// knob: an SPT is a deterministic function of (graph, view state,
-  /// source), so metrics are byte-identical with the cache on or off —
-  /// locked down by tests/test_cache_property.cpp. Off is only useful for
-  /// A/B benchmarking.
-  bool use_spt_cache = true;
 };
 
 struct session_metrics {

@@ -33,9 +33,9 @@ TEST(check_spec, accepts_every_directive_kind) {
   const spec s = parse(
       "# comment\n"
       "\n"
-      "assert counter.spt_cache.hits + counter.spt_cache.misses >= 1\n"
+      "assert counter.traversal.bfs_passes + counter.mc.source_tasks >= 1\n"
       "assert hist.sched.task_ns.count == counter.sched.tasks\n"
-      "range derived.spt_cache_hit_rate 0 1\n"
+      "range derived.scheduler_busy_fraction 0 1\n"
       "present group service\n"
       "absent group nonexistent\n"
       "present fit SvcLoad\n"
@@ -53,7 +53,7 @@ TEST(check_spec, accepts_every_directive_kind) {
   EXPECT_EQ(s.rules[0].line, 3);
   EXPECT_EQ(s.rules[0].op, cmp_op::ge);
   ASSERT_EQ(s.rules[0].lhs.terms.size(), 2u);
-  EXPECT_EQ(s.rules[0].lhs.terms[1].metric, "counter.spt_cache.misses");
+  EXPECT_EQ(s.rules[0].lhs.terms[1].metric, "counter.mc.source_tasks");
   ASSERT_EQ(s.rules[0].rhs.terms.size(), 1u);
   EXPECT_TRUE(s.rules[0].rhs.terms[0].is_literal);
   EXPECT_EQ(s.rules[12].kind, rule_kind::gate);
@@ -81,9 +81,9 @@ TEST(check_spec, rejects_empty_and_comment_only_files) {
 
 TEST(check_spec, rejects_unknown_metric_with_caret) {
   // Column 8: "assert " is 7 characters, the bad metric starts at 8.
-  expect_reject("assert counter.spt_cache.hitz >= 0\n", "t.expect:1:8",
-                "unknown metric 'counter.spt_cache.hitz'");
-  expect_reject("assert gauge.spt_cache.hits >= 0\n", "t.expect:1:8",
+  expect_reject("assert counter.traversal.bfs_passez >= 0\n", "t.expect:1:8",
+                "unknown metric 'counter.traversal.bfs_passez'");
+  expect_reject("assert gauge.traversal.bfs_passes >= 0\n", "t.expect:1:8",
                 "unknown metric");
   expect_reject("range bogus_scalar 0 1\n", "t.expect:1:7",
                 "unknown metric 'bogus_scalar'");
@@ -92,7 +92,7 @@ TEST(check_spec, rejects_unknown_metric_with_caret) {
 
 TEST(check_spec, caret_line_points_at_the_offender) {
   try {
-    parse("assert counter.spt_cache.hitz >= 0\n");
+    parse("assert counter.traversal.bfs_passez >= 0\n");
     FAIL();
   } catch (const spec_error& e) {
     // The caret sits under column 8 (two-space indent + 7 spaces).
@@ -195,7 +195,7 @@ TEST(check_spec, glob_matching) {
 }
 
 TEST(check_spec, metric_path_validation) {
-  EXPECT_EQ(validate_metric_path("counter.spt_cache.hits"), "");
+  EXPECT_EQ(validate_metric_path("counter.traversal.bfs_passes"), "");
   EXPECT_EQ(validate_metric_path("gauge.sched.workers"), "");
   EXPECT_EQ(validate_metric_path("hist.svc.request_ns.p99"), "");
   EXPECT_EQ(validate_metric_path("derived.traversal_passes"), "");

@@ -48,7 +48,6 @@ run_record sample_record() {
   r.claim = "h(x) vs x";
   r.scale = 0;
   r.threads = 4;
-  r.use_spt_cache = true;
   r.parameters.set("points", std::uint64_t{20});
   r.parameters.set("seed", std::uint64_t{1999});
   r.parameters.set("horizon", 2.5);
@@ -96,7 +95,7 @@ TEST(lab_manifest, record_round_trips_and_validates) {
             obs::histogram_count);
   EXPECT_DOUBLE_EQ(metrics->get("counters")->get("sched.tasks")->as_number(),
                    6.0);
-  EXPECT_NE(metrics->get("derived")->get("spt_cache_hit_rate"), nullptr);
+  EXPECT_NE(metrics->get("derived")->get("scheduler_busy_fraction"), nullptr);
 
   EXPECT_TRUE(validate_manifest(doc).empty());
 }
@@ -128,8 +127,7 @@ TEST(lab_manifest, validate_catches_missing_and_ill_typed_fields) {
   }
   // Each required key, when dropped, must produce a problem naming it.
   for (const char* key :
-       {"schema", "experiment", "scale", "threads", "use_spt_cache",
-        "parameters", "git_revision", "timestamp_utc", "wall_seconds",
+       {"schema", "experiment", "scale", "threads", "parameters", "git_revision", "timestamp_utc", "wall_seconds",
         "cpu_seconds", "fits", "series", "metric_groups", "metrics"}) {
     json::value doc = json::value::object();
     for (const auto& [k, v] : good.members()) {

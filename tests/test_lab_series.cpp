@@ -1,8 +1,10 @@
 // Engine-level series guarantees for the analytic figures (2, 3, 4), the
-// affinity figure (9) and the network suite (table1, fig1):
-//   * byte-identical output across scheduler thread counts (1 vs 4) and
-//     with the SPT cache on or off — the scheduler splices sweep points
-//     back in index order, so parallelism must never show in the bytes;
+// affinity figure (9), the network suite (table1, fig1) and every
+// experiment that builds shortest-path trees through the Monte-Carlo
+// runner, shared-tree comparison, session simulator or repair path:
+//   * byte-identical output across scheduler thread counts (1 vs 4) — the
+//     scheduler splices sweep points back in index order, so parallelism
+//     must never show in the bytes;
 //   * byte-identical to the checked-in goldens under tests/data/ (the
 //     exact text the retired per-figure binaries printed at scale 0, plus
 //     fig9 at scale 1, which pins the Metropolis chain and the greedy
@@ -40,19 +42,17 @@ const registry& builtin() {
 }
 
 run_outcome run_at_scale(const std::string& id, int scale,
-                         std::size_t threads, bool use_spt_cache) {
+                         std::size_t threads) {
   const experiment* exp = builtin().find(id);
   if (exp == nullptr) throw std::runtime_error("unknown experiment " + id);
   run_options opts;
   opts.scale = scale;
   opts.threads = threads;
-  opts.use_spt_cache = use_spt_cache;
   return run_experiment(*exp, opts);
 }
 
-run_outcome run_at_scale0(const std::string& id, std::size_t threads,
-                          bool use_spt_cache) {
-  return run_at_scale(id, 0, threads, use_spt_cache);
+run_outcome run_at_scale0(const std::string& id, std::size_t threads) {
+  return run_at_scale(id, 0, threads);
 }
 
 // Compares a run's rendered text against tests/data/lab_<id>_scale<S>.txt.
@@ -64,16 +64,14 @@ void check_golden(const std::string& id, const std::string& rendered,
 
 class lab_series : public ::testing::TestWithParam<const char*> {};
 
-TEST_P(lab_series, thread_count_and_cache_invariant_and_golden) {
+TEST_P(lab_series, thread_count_invariant_and_golden) {
   const std::string id = GetParam();
-  const run_outcome one = run_at_scale0(id, 1, true);
+  const run_outcome one = run_at_scale0(id, 1);
   const std::string base = one.output.str();
   ASSERT_FALSE(base.empty());
 
-  EXPECT_EQ(run_at_scale0(id, 4, true).output.str(), base)
+  EXPECT_EQ(run_at_scale0(id, 4).output.str(), base)
       << id << ": output depends on scheduler thread count";
-  EXPECT_EQ(run_at_scale0(id, 4, false).output.str(), base)
-      << id << ": output depends on the SPT cache toggle";
 
   check_golden(id, base);
 }
@@ -86,18 +84,28 @@ INSTANTIATE_TEST_SUITE_P(analytic_figures, lab_series,
 INSTANTIATE_TEST_SUITE_P(network_figures, lab_series,
                          ::testing::Values("table1", "fig1"));
 
+// Every other experiment whose shortest-path trees come from the runner's
+// per-worker workspace, compare_source_vs_shared, the session simulator's
+// arrivals or repair_delivery_tree.
+INSTANTIATE_TEST_SUITE_P(spt_paths, lab_series,
+                         ::testing::Values("fig6", "ablation_tiebreak",
+                                           "ablation_ts_degree",
+                                           "ext_reachability_zoo",
+                                           "ext_shared_tree", "ext_sessions",
+                                           "ext_failures", "ext_churn"));
+
 // fig9 at scale 1 (n_max 2048 on binary trees of depth 10 and 12): the
 // grid the paper plots, where every Metropolis sweep and greedy envelope
 // step runs at full size.
 TEST(lab_series_golden, fig9_scale1) {
-  check_golden("fig9", run_at_scale("fig9", 1, 4, true).output.str(), 1);
+  check_golden("fig9", run_at_scale("fig9", 1, 4).output.str(), 1);
 }
 
 // table1 at scale 1: the full-size suite, with the 2500-router MBone
 // overlay over an 8000-node Waxman substrate and exact path statistics on
 // every network up to 4000 nodes.
 TEST(lab_series_golden, table1_scale1) {
-  check_golden("table1", run_at_scale("table1", 1, 4, true).output.str(), 1);
+  check_golden("table1", run_at_scale("table1", 1, 4).output.str(), 1);
 }
 
 // Parses "k=K,D=D  (...)" labels emitted by fig2/fig4.
@@ -113,7 +121,7 @@ bool parse_kd(const std::string& label, unsigned& k, unsigned& d) {
 // evaluated at the recorded x — bit for bit, since the experiment computes
 // exactly this expression.
 TEST(lab_series_differential, fig2_matches_kary_h_exact) {
-  const run_outcome out = run_at_scale0("fig2", 4, true);
+  const run_outcome out = run_at_scale0("fig2", 4);
   std::size_t curves = 0;
   for (const auto& s : out.output.all_series()) {
     unsigned k = 0, d = 0;
@@ -129,7 +137,7 @@ TEST(lab_series_differential, fig2_matches_kary_h_exact) {
 }
 
 TEST(lab_series_differential, fig4_matches_kary_tree_size) {
-  const run_outcome out = run_at_scale0("fig4", 4, true);
+  const run_outcome out = run_at_scale0("fig4", 4);
   std::size_t curves = 0;
   for (const auto& s : out.output.all_series()) {
     unsigned k = 0, d = 0;

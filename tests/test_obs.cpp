@@ -83,7 +83,7 @@ TEST_F(obs_test, gauges_keep_the_maximum) {
 }
 
 TEST_F(obs_test, metric_names_are_wired) {
-  EXPECT_STREQ(counter_name(counter::spt_cache_hits), "spt_cache.hits");
+  EXPECT_STREQ(counter_name(counter::bfs_passes), "traversal.bfs_passes");
   EXPECT_STREQ(gauge_name(gauge::sched_workers), "sched.workers");
   EXPECT_STREQ(histogram_name(histogram::repair_latency_ns),
                "repair.latency_ns");
@@ -170,26 +170,24 @@ TEST_F(obs_test, multi_thread_counters_merge_exactly) {
 }
 
 TEST_F(obs_test, derived_rates) {
-  add(counter::spt_cache_hits, 3);
-  add(counter::spt_cache_misses, 1);
   add(counter::sched_busy_ns, 80);
   add(counter::sched_worker_ns, 100);
   add(counter::bfs_passes, 2);
   add(counter::dijkstra_passes, 1);
   const metrics_snapshot s = snapshot();
-  EXPECT_DOUBLE_EQ(spt_cache_hit_rate(s), 0.75);
   EXPECT_DOUBLE_EQ(scheduler_busy_fraction(s), 0.8);
   EXPECT_EQ(traversal_passes(s), 3u);
 }
 
 TEST_F(obs_test, summary_renders_nonzero_metrics) {
-  add(counter::spt_cache_hits, 9);
-  add(counter::spt_cache_misses, 1);
+  add(counter::bfs_passes, 7);
+  add(counter::sched_busy_ns, 9);
+  add(counter::sched_worker_ns, 10);
   std::ostringstream out;
   render_metrics_summary(out, snapshot());
   const std::string text = out.str();
-  EXPECT_NE(text.find("spt_cache.hits"), std::string::npos);
-  EXPECT_NE(text.find("90.0%"), std::string::npos);
+  EXPECT_NE(text.find("traversal.bfs_passes"), std::string::npos);
+  EXPECT_NE(text.find("scheduler busy 90.0%"), std::string::npos);
   // Zero counters stay out of the table.
   EXPECT_EQ(text.find("repair.trees"), std::string::npos);
 }

@@ -7,9 +7,12 @@
 
 #include "analysis/kary_exact.hpp"
 #include "core/runner.hpp"
+#include "fault/degraded.hpp"
+#include "fault/failure_model.hpp"
 #include "graph/builder.hpp"
 #include "topo/kary.hpp"
 #include "topo/regular.hpp"
+#include "topo/transit_stub.hpp"
 #include "topo/waxman.hpp"
 
 namespace mcast {
@@ -127,6 +130,70 @@ TEST(runner, thread_count_does_not_change_results) {
     EXPECT_DOUBLE_EQ(a[i].tree_links_mean, b[i].tree_links_mean);
     EXPECT_DOUBLE_EQ(a[i].ratio_stderr, b[i].ratio_stderr);
     EXPECT_DOUBLE_EQ(a[i].ratio_mean, c[i].ratio_mean);
+  }
+}
+
+void expect_same_points(const std::vector<scaling_point>& a,
+                        const std::vector<scaling_point>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].group_size, b[i].group_size);
+    EXPECT_EQ(a[i].tree_links_mean, b[i].tree_links_mean);
+    EXPECT_EQ(a[i].tree_links_stderr, b[i].tree_links_stderr);
+    EXPECT_EQ(a[i].unicast_mean, b[i].unicast_mean);
+    EXPECT_EQ(a[i].ratio_mean, b[i].ratio_mean);
+    EXPECT_EQ(a[i].ratio_stderr, b[i].ratio_stderr);
+    EXPECT_EQ(a[i].distinct_mean, b[i].distinct_mean);
+    EXPECT_EQ(a[i].samples, b[i].samples);
+  }
+}
+
+graph small_ts(std::uint64_t seed) {
+  transit_stub_params p;
+  p.transit_domains = 2;
+  p.transit_domain_size = 4;
+  p.stubs_per_transit_node = 3;
+  p.stub_domain_size = 4;
+  return make_transit_stub(p, seed);
+}
+
+// Each worker reuses one traversal workspace and sample buffers across the
+// source tasks it runs, so which worker runs which source must not show:
+// every statistic is bit-identical at 1, 2 and "hardware" (0) threads.
+TEST(runner, thread_count_exact_on_pristine_graph) {
+  const graph g = small_ts(9);
+  const std::vector<std::uint64_t> sizes{1, 8, 64};
+  monte_carlo_params params;
+  params.receiver_sets = 4;
+  params.sources = 10;
+  params.seed = 7;
+  params.threads = 1;
+  const auto distinct = measure_distinct_receivers(g, sizes, params);
+  const auto replaced = measure_with_replacement(g, sizes, params);
+  for (std::size_t threads : {2, 0}) {
+    params.threads = threads;
+    expect_same_points(distinct, measure_distinct_receivers(g, sizes, params));
+    expect_same_points(replaced, measure_with_replacement(g, sizes, params));
+  }
+}
+
+// The same on a degraded view: per-source SPTs honor the failure mask and
+// group sizes a source cannot field are skipped, on any thread count.
+TEST(runner, thread_count_exact_on_degraded_view) {
+  const graph g = small_ts(6);
+  degraded_view view(g);
+  view.apply(random_link_failures(g, 0.12, 99));
+  view.fail_node(5);
+  const std::vector<std::uint64_t> sizes{1, 4, 16, 40};
+  monte_carlo_params params;
+  params.receiver_sets = 5;
+  params.sources = 12;
+  params.seed = 31337;
+  params.threads = 1;
+  const auto baseline = measure_distinct_receivers(view, sizes, params);
+  for (std::size_t threads : {2, 0}) {
+    params.threads = threads;
+    expect_same_points(baseline, measure_distinct_receivers(view, sizes, params));
   }
 }
 

@@ -1,10 +1,9 @@
 // Differential suite locking down the hot-path machinery of the workspace
-// + spt_cache layer: every reusable-scratch code path must be bit-identical
-// to an independent in-test reference implementation AND to the one-shot
-// public APIs, across the (scaled) paper topology catalog, randomized
-// seeds, repeated interleaved sources, degraded views and cache
-// hit/miss/eviction histories. Nothing here is statistical — every
-// comparison is exact (==, including doubles).
+// layer: every reusable-scratch code path must be bit-identical to an
+// independent in-test reference implementation AND to the one-shot public
+// APIs, across the (scaled) paper topology catalog, randomized seeds,
+// repeated interleaved sources and degraded views. Nothing here is
+// statistical — every comparison is exact (==, including doubles).
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -22,7 +21,6 @@
 #include "multicast/delivery_tree.hpp"
 #include "multicast/receivers.hpp"
 #include "multicast/spt.hpp"
-#include "multicast/spt_cache.hpp"
 #include "sim/rng.hpp"
 #include "topo/catalog.hpp"
 #include "topo/kary.hpp"
@@ -242,71 +240,6 @@ TEST(workspace_diff, degraded_traversals_match_reference) {
   view.clear();
   const node_id s = 42 % g.node_count();
   expect_same_bfs(bfs_from(g, s), bfs_from(view, s, ws, bfs_out));
-}
-
-TEST(workspace_diff, cached_trees_match_fresh_through_evictions) {
-  const graph g = small_ts(2);
-  traversal_workspace ws;
-  spt_cache cache(4);  // tiny on purpose: force evictions
-  rng gen(59);
-  // Interleave two hot sources (LRU keeps them resident at capacity 4, so
-  // they hit) with cold random ones (which force evictions).
-  const node_id hot[2] = {1, 17};
-  for (int i = 0; i < 60; ++i) {
-    const node_id s = i % 2 == 0
-                          ? hot[(i / 2) % 2]
-                          : static_cast<node_id>(gen.below(g.node_count()));
-    const auto cached = cache.get(g, s, ws);
-    ASSERT_NE(cached, nullptr);
-    const source_tree fresh(g, s);
-    EXPECT_EQ(cached->source(), fresh.source());
-    EXPECT_EQ(cached->raw().dist, fresh.raw().dist);
-    EXPECT_EQ(cached->raw().parent, fresh.raw().parent);
-
-    // Delivery trees grown on cached vs fresh routing are identical too.
-    const auto universe = all_sites_except(g, s);
-    rng sampler(1000 + i);
-    const auto receivers = sample_distinct(universe, 8, sampler);
-    EXPECT_EQ(delivery_tree_links(*cached, receivers),
-              delivery_tree_links(fresh, receivers));
-  }
-  const auto& st = cache.stats();
-  EXPECT_EQ(st.hits + st.misses, 60u);
-  EXPECT_GT(st.hits, 0u);
-  EXPECT_GT(st.evictions, 0u);  // capacity 4 over ~100 sources must evict
-  EXPECT_LE(cache.size(), cache.capacity());
-}
-
-TEST(workspace_diff, cache_invalidates_on_view_generation_change) {
-  const graph g = small_ts(4);
-  traversal_workspace ws;
-  spt_cache cache(16);
-  degraded_view view(g);
-  const node_id s = 7;
-
-  // Pristine view lookups are generation 0 — the same key space as the
-  // pristine-graph overload, and the same trees.
-  const auto before = cache.get(view, s, ws);
-  EXPECT_EQ(cache.get(g, s, ws), before);  // hit, pointer-identical
-
-  const edge failed = g.edges().front();
-  ASSERT_TRUE(view.fail_link(failed.a, failed.b));
-  const auto degraded = cache.get(view, s, ws);
-  const source_tree fresh_degraded(view.base(), bfs_from(view, s));
-  EXPECT_EQ(degraded->raw().dist, fresh_degraded.raw().dist);
-  EXPECT_EQ(degraded->raw().parent, fresh_degraded.raw().parent);
-  EXPECT_GE(cache.stats().invalidations, 1u);
-
-  // Restoring bumps the generation again: no stale degraded tree may
-  // survive, and the fresh result equals the original pristine tree.
-  ASSERT_TRUE(view.restore_link(failed.a, failed.b));
-  const auto after = cache.get(view, s, ws);
-  EXPECT_EQ(after->raw().dist, before->raw().dist);
-  EXPECT_EQ(after->raw().parent, before->raw().parent);
-
-  // The evicted/invalidated tree handed out earlier is still alive and
-  // readable through its shared_ptr — consumers never dangle.
-  EXPECT_EQ(degraded->source(), s);
 }
 
 TEST(workspace_diff, into_samplers_match_one_shot_and_restore_pool) {
