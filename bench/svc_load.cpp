@@ -1,44 +1,64 @@
-// svc_load — open-loop load generator for the mcast_serve query service.
+// svc_load — load generator for the mcast_serve query service.
 //
 // Default mode spins the server *in-process* (same obs registry), so the
-// BENCH_service.json manifest captures server-side truth: accepted and
-// rejected connection counts, queue-depth/inflight peaks, request and
-// queue-wait latency histograms, topology-cache hits. `--port=N` targets
-// an external server instead (client-side numbers only).
+// manifest captures server-side truth: accepted and rejected connection
+// counts, queue-depth/inflight peaks, request and queue-wait latency
+// histograms, topology-cache hits. `--port=N` targets an external server
+// instead (client-side numbers only).
 //
-// Three phases:
-//   1. warmup      — a short burst, excluded from every number;
-//   2. measured    — C connections, each sending R requests on an
-//                    open-loop schedule (sends fire at sleep_until
-//                    instants regardless of response progress, the
-//                    standard way to avoid coordinated omission) while a
-//                    reader thread timestamps in-order responses;
-//   3. overload    — (in-process only) a deliberately tiny server
-//                    (workers=1, queue=1) is held busy and burst-
-//                    connected, counting typed `overloaded` rejections —
-//                    the admission-control path exercised on purpose.
+// One driver, two lists of phases. A load phase opens C connections at
+// once, each on its own thread, and sends R requests of one deterministic
+// mix on one pacing schedule: request i goes out no earlier than
+// start + i/rate (`--rate=0` sends back to back).
 //
-// In-process runs repeat the measured phase once more with the JSONL
-// access log on (its QPS cost is reported). `--access-log=FILE` keeps that
-// log at FILE instead of <out>/access_svc_load.jsonl, and
-// `--profile=FILE` traces the same phase into a Chrome trace, so spans and
-// access records join on trace id (`mcast_lab trace`).
+// Open loop (default) writes BENCH_service.json, fit SvcLoad:
+//   1. warmup     — a short burst, excluded from every number;
+//   2. measured   — sends fire at their scheduled instants regardless of
+//                   response progress (the standard way to avoid
+//                   coordinated omission) while a reader thread
+//                   timestamps the in-order responses;
+//   3. access-log — (in-process only) the measured phase again with the
+//                   JSONL access log on; its QPS cost is reported.
+//                   `--access-log=FILE` keeps that log at FILE instead of
+//                   <out>/access_svc_load.jsonl, and `--profile=FILE`
+//                   traces the same phase into a Chrome trace, so spans
+//                   and access records join on trace id (`mcast_lab
+//                   trace`);
+//   4. overload   — (in-process only) a deliberately tiny server
+//                   (workers=1, queue=1) is held busy and burst-connected,
+//                   counting typed `overloaded` rejections — the
+//                   admission-control path exercised on purpose.
 //
-// Output: human summary on stdout + BENCH_service.json (schema
-// mcast-lab-manifest/2, `mcast_lab validate`-clean) with QPS and exact
-// p50/p95/p99 latencies in the fits section.
+// Closed loop (`--chaos=SPEC`) writes BENCH_service_chaos.json, fit
+// SvcChaos. The same mix runs through retry clients (service/client.hpp):
+//   1. baseline   — against a fault-free in-process server;
+//   2. faulted    — against a fresh server with the chaos shim armed.
+//                   Goodput is reported as a fraction of the baseline, and
+//                   tail latency is measured *through* the retries. A
+//                   response surviving on any connection must parse as
+//                   JSON: a malformed line is a failure of the chaos
+//                   contract (truncation must kill its connection), not a
+//                   statistic;
+//   3. shed probe — the cost-aware shedding tiers, driven
+//                   deterministically through a direct query_service.
+//
+// Both manifests use schema mcast-lab-manifest/2 and are `mcast_lab
+// validate`-clean.
 //
 // Exit codes: 0 ok; 1 bad arguments or a failed run contract (lost
 // responses, chaos goodput or shed contract); 2 the output directory or an
-// artifact cannot be written (checked before any load runs).
+// artifact cannot be written (checked before any load runs), or a phase
+// fails outright (say, nothing listens on --port).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <ctime>
+#include <exception>
 #include <filesystem>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -56,10 +76,10 @@
 #include "service/client.hpp"
 #include "service/protocol.hpp"
 #include "service/query_service.hpp"
-#include "topo/cache.hpp"
 
 namespace {
 
+namespace lab = mcast::lab;
 using mcast::net::chaos_engine;
 using mcast::net::chaos_spec;
 using mcast::net::connect_loopback;
@@ -67,6 +87,7 @@ using mcast::net::line_reader;
 using mcast::net::line_server;
 using mcast::net::send_all;
 using mcast::net::server_config;
+using mcast::net::server_stats;
 using mcast::net::unique_fd;
 using mcast::service::call_result;
 using mcast::service::call_status;
@@ -81,15 +102,14 @@ using clock_type = std::chrono::steady_clock;
 
 struct options {
   std::size_t connections = 16;
-  std::size_t requests = 200;     // per connection, measured phase
+  std::size_t requests = 200;     // per connection, per phase
   double rate = 100.0;            // requests/second per connection (0 = flood)
   std::size_t workers = 4;        // in-process server threads
   std::size_t queue = 64;         // in-process server queue capacity
   std::uint64_t seed = 1;
   std::uint16_t port = 0;         // 0 = in-process server
   std::string out_dir = ".";
-  bool overload_probe = true;
-  std::string chaos;              // chaos spec; non-empty switches modes
+  std::optional<chaos_spec> chaos;  // set: the closed-loop phases
   double min_goodput_ratio = 0.7; // chaos mode failure threshold
   std::string access_log;         // access-log phase artifact ("" = default)
   std::string profile;            // Chrome trace of the access-log phase
@@ -100,78 +120,63 @@ struct options {
   std::exit(1);
 }
 
-std::uint64_t parse_u64_flag(const std::string& text, const char* flag) {
-  if (text.empty()) die(std::string(flag) + " needs a value");
-  std::uint64_t v = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') {
-      die(std::string(flag) + " expects an integer, got '" + text + "'");
-    }
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return v;
-}
-
 options parse_options(int argc, char** argv) {
   options opt;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto value_of = [&](const char* flag) -> std::string {
-      return arg.substr(std::string(flag).size() + 1);
-    };
-    if (arg.rfind("--connections=", 0) == 0) {
-      opt.connections = parse_u64_flag(value_of("--connections"), "--connections");
-      if (opt.connections == 0 || opt.connections > 512) {
-        die("--connections must be in 1..512");
+    const std::size_t eq = arg.find('=');
+    const std::string flag = arg.substr(0, eq);
+    const std::string value = eq == std::string::npos ? "" : arg.substr(eq + 1);
+    const auto u64 = [&] { return lab::parse_u64(value, flag); };
+    try {
+      if (flag == "--connections") {
+        opt.connections = u64();
+        if (opt.connections == 0 || opt.connections > 512) {
+          die("--connections must be in 1..512");
+        }
+      } else if (flag == "--requests") {
+        opt.requests = u64();
+        if (opt.requests == 0) die("--requests must be >= 1");
+      } else if (flag == "--rate") {
+        opt.rate = static_cast<double>(u64());
+      } else if (flag == "--workers") {
+        opt.workers = u64();
+        if (opt.workers == 0) die("--workers must be >= 1");
+      } else if (flag == "--queue") {
+        opt.queue = u64();
+        if (opt.queue == 0) die("--queue must be >= 1");
+      } else if (flag == "--seed") {
+        opt.seed = u64();
+      } else if (flag == "--port") {
+        const std::uint64_t p = u64();
+        if (p == 0 || p > 65535) die("--port must be in 1..65535");
+        opt.port = static_cast<std::uint16_t>(p);
+      } else if (flag == "--out") {
+        opt.out_dir = value;
+        if (opt.out_dir.empty()) die("--out= needs a directory");
+      } else if (flag == "--chaos") {
+        if (value.empty()) die("--chaos= needs a spec (try --chaos=default)");
+        opt.chaos = chaos_spec::parse(value);
+      } else if (flag == "--access-log") {
+        opt.access_log = value;
+        if (opt.access_log.empty()) die("--access-log= needs a file path");
+      } else if (flag == "--profile") {
+        opt.profile = value;
+        if (opt.profile.empty()) die("--profile= needs a file path");
+      } else if (flag == "--min-goodput-ratio") {
+        opt.min_goodput_ratio = lab::parse_real(value, flag);
+        if (!(opt.min_goodput_ratio >= 0.0 && opt.min_goodput_ratio <= 1.0)) {
+          die("--min-goodput-ratio expects a fraction in [0,1]");
+        }
+      } else {
+        die("unknown argument '" + arg + "'");
       }
-    } else if (arg.rfind("--requests=", 0) == 0) {
-      opt.requests = parse_u64_flag(value_of("--requests"), "--requests");
-      if (opt.requests == 0) die("--requests must be >= 1");
-    } else if (arg.rfind("--rate=", 0) == 0) {
-      opt.rate = static_cast<double>(
-          parse_u64_flag(value_of("--rate"), "--rate"));
-    } else if (arg.rfind("--workers=", 0) == 0) {
-      opt.workers = parse_u64_flag(value_of("--workers"), "--workers");
-      if (opt.workers == 0) die("--workers must be >= 1");
-    } else if (arg.rfind("--queue=", 0) == 0) {
-      opt.queue = parse_u64_flag(value_of("--queue"), "--queue");
-      if (opt.queue == 0) die("--queue must be >= 1");
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      opt.seed = parse_u64_flag(value_of("--seed"), "--seed");
-    } else if (arg.rfind("--port=", 0) == 0) {
-      const std::uint64_t p = parse_u64_flag(value_of("--port"), "--port");
-      if (p == 0 || p > 65535) die("--port must be in 1..65535");
-      opt.port = static_cast<std::uint16_t>(p);
-    } else if (arg.rfind("--out=", 0) == 0) {
-      opt.out_dir = value_of("--out");
-      if (opt.out_dir.empty()) die("--out= needs a directory");
-    } else if (arg == "--skip-overload-probe") {
-      opt.overload_probe = false;
-    } else if (arg.rfind("--chaos=", 0) == 0) {
-      opt.chaos = value_of("--chaos");
-      if (opt.chaos.empty()) die("--chaos= needs a spec (try --chaos=default)");
-    } else if (arg.rfind("--access-log=", 0) == 0) {
-      opt.access_log = value_of("--access-log");
-      if (opt.access_log.empty()) die("--access-log= needs a file path");
-    } else if (arg.rfind("--profile=", 0) == 0) {
-      opt.profile = value_of("--profile");
-      if (opt.profile.empty()) die("--profile= needs a file path");
-    } else if (arg.rfind("--min-goodput-ratio=", 0) == 0) {
-      const std::string text = value_of("--min-goodput-ratio");
-      std::size_t used = 0;
-      double v = 0.0;
-      try {
-        v = std::stod(text, &used);
-      } catch (const std::exception&) {
-        used = 0;
-      }
-      if (used != text.size() || !(v >= 0.0 && v <= 1.0)) {
-        die("--min-goodput-ratio expects a fraction in [0,1]");
-      }
-      opt.min_goodput_ratio = v;
-    } else {
-      die("unknown argument '" + arg + "'");
+    } catch (const std::invalid_argument& e) {
+      die(e.what());
     }
+  }
+  if (opt.chaos && opt.port != 0) {
+    die("--chaos needs the in-process server (drop --port)");
   }
   return opt;
 }
@@ -211,40 +216,84 @@ op_bucket bucket_of(std::size_t i) {
   }
 }
 
-struct phase_result {
-  std::vector<double> latencies_ms;  // one per completed request
-  std::vector<double> by_op_ms[3];   // lmhat / estimate / reachability splits
-  std::uint64_t errors = 0;          // ok:false responses
-  std::uint64_t lost = 0;            // requests without a response
-  double wall_seconds = 0.0;
+/// The one pacing schedule: request i is sent no earlier than
+/// start + i/rate; late requests go out back to back, and rate 0 floods.
+class pacer {
+ public:
+  explicit pacer(double rate)
+      : interval_(rate > 0.0
+                      ? std::chrono::duration_cast<clock_type::duration>(
+                            std::chrono::duration<double>(1.0 / rate))
+                      : clock_type::duration::zero()) {}
+
+  void wait_for(std::size_t i) const {
+    if (interval_.count() > 0) {
+      std::this_thread::sleep_until(start_ + interval_ * static_cast<long>(i));
+    }
+  }
+
+ private:
+  clock_type::duration interval_;
+  clock_type::time_point start_ = clock_type::now();
 };
 
-struct op_percentiles {
-  double p50 = 0.0;
-  double p95 = 0.0;
-  double p99 = 0.0;
-  std::size_t count = 0;
+struct phase_result {
+  std::vector<double> latencies_ms;  // one per answered (open) / ok (closed)
+  std::vector<double> by_op_ms[3];   // lmhat / estimate / reachability splits
+  std::uint64_t errors = 0;     // typed ok:false responses
+  std::uint64_t lost = 0;       // requests without a response
+  std::uint64_t attempts = 0;   // closed loop: tries, retries included
+  std::uint64_t malformed = 0;  // closed loop: surviving non-JSON lines
+  double wall_seconds = 0.0;
+
+  void record(std::size_t i, double ms) {
+    latencies_ms.push_back(ms);
+    const op_bucket bucket = bucket_of(i);
+    if (bucket != op_bucket::other) {
+      by_op_ms[static_cast<std::size_t>(bucket)].push_back(ms);
+    }
+  }
+
+  double qps() const {
+    return wall_seconds > 0.0
+               ? static_cast<double>(latencies_ms.size()) / wall_seconds
+               : 0.0;
+  }
+
+  void merge(const phase_result& r) {
+    latencies_ms.insert(latencies_ms.end(), r.latencies_ms.begin(),
+                        r.latencies_ms.end());
+    for (std::size_t b = 0; b < 3; ++b) {
+      by_op_ms[b].insert(by_op_ms[b].end(), r.by_op_ms[b].begin(),
+                         r.by_op_ms[b].end());
+    }
+    errors += r.errors;
+    lost += r.lost;
+    attempts += r.attempts;
+    malformed += r.malformed;
+  }
 };
+
+double ms_since(clock_type::time_point t) {
+  return std::chrono::duration<double, std::milli>(clock_type::now() - t)
+      .count();
+}
 
 /// One connection's open-loop run: the writer fires requests at scheduled
 /// instants (never waiting for responses); the reader timestamps each
 /// in-order response against its send time.
-void run_connection(std::uint16_t port, const options& opt, std::size_t conn,
-                    phase_result& out) {
+void open_loop_connection(std::uint16_t port, const options& opt,
+                          std::size_t conn, phase_result& out) {
   unique_fd fd = connect_loopback(port);
   std::vector<clock_type::time_point> sent(opt.requests);
-  const auto interval =
-      opt.rate > 0.0 ? std::chrono::duration_cast<clock_type::duration>(
-                           std::chrono::duration<double>(1.0 / opt.rate))
-                     : clock_type::duration::zero();
 
-  std::thread writer([&] {
-    const auto start = clock_type::now();
+  // Joined on every way out of this function, before `sent` and `fd` go.
+  const std::jthread writer([&] {
+    const pacer pace(opt.rate);
     for (std::size_t i = 0; i < opt.requests; ++i) {
-      if (interval.count() > 0) {
-        std::this_thread::sleep_until(start + interval * static_cast<long>(i));
-      }
-      const std::string line = make_request(opt.seed, conn, i) + "\n";
+      pace.wait_for(i);
+      std::string line = make_request(opt.seed, conn, i);
+      line += '\n';
       sent[i] = clock_type::now();
       if (!send_all(fd.get(), line)) return;
     }
@@ -258,49 +307,89 @@ void run_connection(std::uint16_t port, const options& opt, std::size_t conn,
       out.lost += opt.requests - i;
       break;
     }
-    const double ms =
-        std::chrono::duration<double, std::milli>(clock_type::now() - sent[i])
-            .count();
-    out.latencies_ms.push_back(ms);
-    const op_bucket bucket = bucket_of(i);
-    if (bucket != op_bucket::other) {
-      out.by_op_ms[static_cast<std::size_t>(bucket)].push_back(ms);
-    }
+    out.record(i, ms_since(sent[i]));
     if (line.find("\"ok\":true") == std::string::npos) ++out.errors;
   }
-  writer.join();
 }
 
-phase_result run_phase(std::uint16_t port, const options& opt) {
-  phase_result total;
+/// One connection's closed-loop run through a retry client: each call is
+/// offered on the pacing schedule and timed through its retries, so
+/// goodput compares what fraction of the same offered load survives each
+/// phase rather than penalizing injected latency twice.
+void closed_loop_connection(std::uint16_t port, const options& opt,
+                            std::size_t conn, phase_result& out) {
+  retry_policy policy;
+  policy.max_attempts = 6;
+  policy.attempt_timeout_ms = 30000;
+  policy.backoff_base_ms = 1;
+  policy.backoff_max_ms = 20;
+  policy.seed = opt.seed * 1000003 + conn;  // per-client jitter stream
+  retry_client client(port, policy);
+  const pacer pace(opt.rate);
+  for (std::size_t i = 0; i < opt.requests; ++i) {
+    pace.wait_for(i);
+    const auto sent = clock_type::now();
+    const call_result result = client.call(make_request(opt.seed, conn, i));
+    out.attempts += static_cast<std::uint64_t>(result.attempts);
+    if (!result.response.empty()) {
+      try {
+        (void)mcast::json::parse(result.response);
+      } catch (const std::exception&) {
+        ++out.malformed;
+      }
+    }
+    switch (result.status) {
+      case call_status::ok: out.record(i, ms_since(sent)); break;
+      case call_status::server_error: ++out.errors; break;
+      default: ++out.lost; break;  // retries exhausted
+    }
+  }
+}
+
+using connection_fn = void (*)(std::uint16_t, const options&, std::size_t,
+                               phase_result&);
+
+/// Fans the phase's connections out on one thread each (all open at
+/// once), joins them, and merges their results. An exception on any
+/// connection, or in starting a thread, is rethrown after every started
+/// thread has joined.
+phase_result run_phase(std::uint16_t port, const options& opt,
+                       connection_fn connection) {
   std::vector<phase_result> per_conn(opt.connections);
+  std::vector<std::exception_ptr> failures(opt.connections);
   const auto begin = clock_type::now();
   {
-    std::vector<std::thread> threads;
+    std::vector<std::jthread> threads;
     threads.reserve(opt.connections);
     for (std::size_t c = 0; c < opt.connections; ++c) {
-      threads.emplace_back(
-          [&, c] { run_connection(port, opt, c, per_conn[c]); });
+      threads.emplace_back([&, c] {
+        try {
+          connection(port, opt, c, per_conn[c]);
+        } catch (...) {
+          failures[c] = std::current_exception();
+        }
+      });
     }
-    for (std::thread& t : threads) t.join();
   }
+  for (const std::exception_ptr& e : failures) {
+    if (e) std::rethrow_exception(e);
+  }
+  phase_result total;
   total.wall_seconds =
       std::chrono::duration<double>(clock_type::now() - begin).count();
-  for (const phase_result& r : per_conn) {
-    total.latencies_ms.insert(total.latencies_ms.end(), r.latencies_ms.begin(),
-                              r.latencies_ms.end());
-    for (std::size_t b = 0; b < 3; ++b) {
-      total.by_op_ms[b].insert(total.by_op_ms[b].end(), r.by_op_ms[b].begin(),
-                               r.by_op_ms[b].end());
-    }
-    total.errors += r.errors;
-    total.lost += r.lost;
-  }
+  for (const phase_result& r : per_conn) total.merge(r);
   return total;
 }
 
+struct op_percentiles {
+  double p50 = 0.0;
+  double p95 = 0.0;
+  double p99 = 0.0;
+  std::size_t count = 0;
+};
+
 /// Exact percentile over the sorted sample (nearest-rank).
-double percentile(std::vector<double>& sorted, double q) {
+double percentile(const std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0.0;
   const std::size_t rank = static_cast<std::size_t>(
       q * static_cast<double>(sorted.size() - 1) + 0.5);
@@ -317,21 +406,6 @@ op_percentiles summarize(std::vector<double>& sample) {
   return out;
 }
 
-/// Adds the lmhat/estimate/reachability splits to a fit's value list and
-/// prints the one-line breakdown.
-void report_op_breakdown(phase_result& measured, mcast::lab::fit_entry& fit) {
-  static const char* const names[3] = {"lmhat", "estimate", "reachability"};
-  for (std::size_t b = 0; b < 3; ++b) {
-    const op_percentiles ps = summarize(measured.by_op_ms[b]);
-    std::printf("  %-12s p50=%.3f p95=%.3f p99=%.3f ms (%zu samples)\n",
-                names[b], ps.p50, ps.p95, ps.p99, ps.count);
-    const std::string prefix = names[b];
-    fit.values.push_back({prefix + "_p50_ms", ps.p50});
-    fit.values.push_back({prefix + "_p95_ms", ps.p95});
-    fit.values.push_back({prefix + "_p99_ms", ps.p99});
-  }
-}
-
 server_config typed_config(std::size_t workers, std::size_t queue) {
   server_config config;
   config.port = 0;
@@ -346,22 +420,40 @@ server_config typed_config(std::size_t workers, std::size_t queue) {
   return config;
 }
 
+/// An in-process mcast_serve: one query_service behind one line_server,
+/// whose stats op reads this server's counters. The destructor drains it.
+class local_server {
+ public:
+  explicit local_server(const server_config& config)
+      : server_(config,
+                [this](const std::string& line) { return svc_.handle(line); }) {
+    svc_.set_stats_source([this] { return server_.stats(); });
+  }
+
+  local_server(const local_server&) = delete;
+  local_server& operator=(const local_server&) = delete;
+
+  std::uint16_t port() const noexcept { return server_.port(); }
+  server_stats stats() const { return server_.stats(); }
+
+ private:
+  query_service svc_;  // declared first, so it outlives the server's workers
+  line_server server_;
+};
+
 /// Holds a workers=1/queue=1 server busy with a slow Monte-Carlo request
 /// and burst-connects it; returns how many typed `overloaded` rejections
 /// the burst collected (the admission-control rate under saturation).
 std::uint64_t overload_probe(std::uint64_t seed) {
-  query_service svc;
-  line_server tiny(typed_config(1, 1), [&svc](const std::string& line) {
-    return svc.handle(line);
-  });
+  const local_server tiny(typed_config(1, 1));
 
   // Occupy the single worker with a deliberately heavy request.
   unique_fd busy = connect_loopback(tiny.port());
   const std::string slow =
       "{\"op\":\"lm_estimate\",\"topology\":\"ts1000\",\"budget\":300,"
       "\"grid_points\":12,\"sources\":48,\"receiver_sets\":24,\"seed\":" +
-      std::to_string(seed) + "}";
-  if (!send_all(busy.get(), slow + "\n")) return 0;
+      std::to_string(seed) + "}\n";
+  if (!send_all(busy.get(), slow)) return 0;
   // Give the worker time to pick it up, then park one more connection in
   // the single queue slot so the burst below faces a full house.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -386,106 +478,7 @@ std::uint64_t overload_probe(std::uint64_t seed) {
   line_reader busy_reader(busy.get(), 1 << 24);
   std::string line;
   (void)busy_reader.read_line(line, 120000);
-  tiny.shutdown();
-  tiny.wait();
   return rejected;
-}
-
-// --- chaos mode --------------------------------------------------------
-//
-// `--chaos=SPEC` switches svc_load from the open-loop latency harness to
-// a closed-loop resilience harness: the same request mix is driven
-// through retry clients (service/client.hpp) against an in-process
-// server twice — once fault-free (the goodput baseline) and once with
-// the chaos shim armed — and the manifest reports goodput under faults
-// as a fraction of the fault-free rate, plus tail latency measured
-// *through* the retries. A response surviving on any connection must
-// parse as JSON: a malformed line is a failure of the chaos contract
-// (truncation must kill its connection), not a statistic.
-
-struct closed_loop_result {
-  std::vector<double> latencies_ms;  // per successful call, retries included
-  std::uint64_t successes = 0;
-  std::uint64_t server_errors = 0;     // typed non-retryable error lines
-  std::uint64_t transport_failures = 0;  // retries exhausted
-  std::uint64_t attempts = 0;
-  std::uint64_t malformed = 0;  // surviving lines that do not parse
-  double wall_seconds = 0.0;
-};
-
-closed_loop_result run_closed_loop(std::uint16_t port, const options& opt) {
-  closed_loop_result total;
-  std::vector<closed_loop_result> per_conn(opt.connections);
-  const auto begin = clock_type::now();
-  {
-    std::vector<std::thread> threads;
-    threads.reserve(opt.connections);
-    for (std::size_t c = 0; c < opt.connections; ++c) {
-      threads.emplace_back([&, c] {
-        closed_loop_result& out = per_conn[c];
-        retry_policy policy;
-        policy.max_attempts = 6;
-        policy.attempt_timeout_ms = 30000;
-        policy.backoff_base_ms = 1;
-        policy.backoff_max_ms = 20;
-        policy.seed = opt.seed * 1000003 + c;  // per-client jitter stream
-        retry_client client(port, policy);
-        // Paced closed loop: requests are *offered* at --rate per second
-        // (never early; late calls run back-to-back), so goodput compares
-        // what fraction of the same offered load survives each phase
-        // rather than penalizing injected latency twice. --rate=0 floods.
-        const auto interval =
-            opt.rate > 0.0 ? std::chrono::duration_cast<clock_type::duration>(
-                                 std::chrono::duration<double>(1.0 / opt.rate))
-                           : clock_type::duration::zero();
-        const auto start = clock_type::now();
-        for (std::size_t i = 0; i < opt.requests; ++i) {
-          if (interval.count() > 0) {
-            std::this_thread::sleep_until(start +
-                                          interval * static_cast<long>(i));
-          }
-          const auto sent = clock_type::now();
-          const call_result result = client.call(make_request(opt.seed, c, i));
-          out.attempts += static_cast<std::uint64_t>(result.attempts);
-          if (!result.response.empty()) {
-            try {
-              (void)mcast::json::parse(result.response);
-            } catch (const std::exception&) {
-              ++out.malformed;
-            }
-          }
-          switch (result.status) {
-            case call_status::ok:
-              ++out.successes;
-              out.latencies_ms.push_back(
-                  std::chrono::duration<double, std::milli>(clock_type::now() -
-                                                            sent)
-                      .count());
-              break;
-            case call_status::server_error:
-              ++out.server_errors;
-              break;
-            default:
-              ++out.transport_failures;
-              break;
-          }
-        }
-      });
-    }
-    for (std::thread& t : threads) t.join();
-  }
-  total.wall_seconds =
-      std::chrono::duration<double>(clock_type::now() - begin).count();
-  for (const closed_loop_result& r : per_conn) {
-    total.latencies_ms.insert(total.latencies_ms.end(), r.latencies_ms.begin(),
-                              r.latencies_ms.end());
-    total.successes += r.successes;
-    total.server_errors += r.server_errors;
-    total.transport_failures += r.transport_failures;
-    total.attempts += r.attempts;
-    total.malformed += r.malformed;
-  }
-  return total;
 }
 
 struct shed_probe_result {
@@ -542,219 +535,35 @@ shed_probe_result run_shed_probe() {
   return out;
 }
 
-int chaos_main(const options& opt) {
-  if (opt.port != 0) die("--chaos needs the in-process server (drop --port)");
-  chaos_spec spec;
-  try {
-    spec = chaos_spec::parse(opt.chaos);
-  } catch (const std::exception& e) {
-    die(e.what());
-  }
-
-  mcast::obs::reset_metrics();
-  const std::clock_t cpu_begin = std::clock();
-  const auto wall_begin = clock_type::now();
-
-  std::cerr << "svc_load: chaos mode (" << spec.describe()
-            << ") connections=" << opt.connections
-            << " requests=" << opt.requests << "\n";
-
-  // Phase 1: fault-free baseline, same closed-loop retry-client workload.
-  double baseline_qps = 0.0;
-  {
-    auto svc = std::make_shared<query_service>();
-    line_server server(
-        typed_config(opt.workers, opt.queue),
-        [svc](const std::string& line) { return svc->handle(line); });
-    svc->set_stats_source([&server] { return server.stats(); });
-    const closed_loop_result baseline = run_closed_loop(server.port(), opt);
-    server.shutdown();
-    server.wait();
-    baseline_qps = baseline.wall_seconds > 0.0
-                       ? static_cast<double>(baseline.successes) /
-                             baseline.wall_seconds
-                       : 0.0;
-    std::printf("svc_load chaos baseline\n");
-    std::printf("  successes    %llu (%llu attempts)\n",
-                static_cast<unsigned long long>(baseline.successes),
-                static_cast<unsigned long long>(baseline.attempts));
-    std::printf("  goodput      %.1f req/s fault-free\n", baseline_qps);
-  }
-
-  // Phase 2: the same workload with the chaos shim armed.
-  mcast::net::server_stats chaos_stats;
-  closed_loop_result faulted;
-  {
-    auto svc = std::make_shared<query_service>();
-    server_config config = typed_config(opt.workers, opt.queue);
-    config.chaos = std::make_shared<const chaos_engine>(spec);
-    line_server server(
-        config, [svc](const std::string& line) { return svc->handle(line); });
-    svc->set_stats_source([&server] { return server.stats(); });
-    faulted = run_closed_loop(server.port(), opt);
-    chaos_stats = server.stats();
-    server.shutdown();
-    server.wait();
-  }
-
-  const std::uint64_t expected =
-      static_cast<std::uint64_t>(opt.connections) * opt.requests;
-  const double goodput = faulted.wall_seconds > 0.0
-                             ? static_cast<double>(faulted.successes) /
-                                   faulted.wall_seconds
-                             : 0.0;
-  const double ratio = baseline_qps > 0.0 ? goodput / baseline_qps : 0.0;
-  std::sort(faulted.latencies_ms.begin(), faulted.latencies_ms.end());
-  const double p50 = percentile(faulted.latencies_ms, 0.50);
-  const double p99 = percentile(faulted.latencies_ms, 0.99);
-
-  // Phase 3: deterministic shed-tier probe (no sockets involved).
-  const shed_probe_result shed = run_shed_probe();
-
-  std::printf("svc_load chaos results\n");
-  std::printf("  successes    %llu / %llu (%llu typed errors, %llu failed)\n",
-              static_cast<unsigned long long>(faulted.successes),
-              static_cast<unsigned long long>(expected),
-              static_cast<unsigned long long>(faulted.server_errors),
-              static_cast<unsigned long long>(faulted.transport_failures));
-  std::printf("  attempts     %llu (faults injected: %llu)\n",
-              static_cast<unsigned long long>(faulted.attempts),
-              static_cast<unsigned long long>(chaos_stats.chaos_injected));
-  std::printf("  goodput      %.1f req/s (%.1f%% of fault-free)\n", goodput,
-              100.0 * ratio);
-  std::printf("  latency ms   p50=%.3f p99=%.3f (through retries)\n", p50,
-              p99);
-  std::printf("  shed probe   %llu degraded, %llu refused, contract %s\n",
-              static_cast<unsigned long long>(shed.degraded),
-              static_cast<unsigned long long>(shed.refused),
-              shed.contract_ok ? "ok" : "VIOLATED");
-  if (faulted.malformed > 0) {
-    std::printf("  MALFORMED    %llu surviving non-JSON lines\n",
-                static_cast<unsigned long long>(faulted.malformed));
-  }
-
-  namespace lab = mcast::lab;
-  lab::run_record record;
-  record.experiment_id = "svc_chaos";
-  record.title = "Service chaos: goodput and tails under fault injection";
-  record.claim =
-      "closed-loop goodput, retry pressure and p99-through-retries of "
-      "mcast_serve under deterministic seeded fault injection, plus the "
-      "cost-aware shedding tiers exercised deterministically";
-  record.scale = lab::scale_from_env();
-  record.threads = opt.workers;
-  record.parameters.set("connections",
-                        static_cast<std::uint64_t>(opt.connections));
-  record.parameters.set("requests", static_cast<std::uint64_t>(opt.requests));
-  record.parameters.set("workers", static_cast<std::uint64_t>(opt.workers));
-  record.parameters.set("queue", static_cast<std::uint64_t>(opt.queue));
-  record.parameters.set("seed", opt.seed);
-  record.parameters.set("chaos", spec.describe());
-  record.parameters.set("min_goodput_ratio", opt.min_goodput_ratio);
-  record.git_revision = lab::current_git_revision();
-  record.timestamp_utc = lab::utc_timestamp();
-  record.wall_seconds =
-      std::chrono::duration<double>(clock_type::now() - wall_begin).count();
-  record.cpu_seconds = static_cast<double>(std::clock() - cpu_begin) /
-                       static_cast<double>(CLOCKS_PER_SEC);
-  lab::fit_entry fit;
-  fit.label = "SvcChaos";
-  {
-    char text[320];
-    std::snprintf(text, sizeof text,
-                  "goodput_qps=%.1f baseline_qps=%.1f goodput_ratio=%.3f "
-                  "p50_ms=%.3f p99_ms=%.3f attempts=%llu faults=%llu "
-                  "shed_degraded=%llu shed_refused=%llu",
-                  goodput, baseline_qps, ratio, p50, p99,
-                  static_cast<unsigned long long>(faulted.attempts),
-                  static_cast<unsigned long long>(chaos_stats.chaos_injected),
-                  static_cast<unsigned long long>(shed.degraded),
-                  static_cast<unsigned long long>(shed.refused));
-    fit.text = text;
-  }
-  fit.values = {
-      {"goodput_qps", goodput},
-      {"baseline_qps", baseline_qps},
-      {"goodput_ratio", ratio},
-      {"p50_ms", p50},
-      {"p99_ms", p99},
-      {"successes", static_cast<double>(faulted.successes)},
-      {"server_errors", static_cast<double>(faulted.server_errors)},
-      {"transport_failures", static_cast<double>(faulted.transport_failures)},
-      {"attempts", static_cast<double>(faulted.attempts)},
-      {"faults_injected", static_cast<double>(chaos_stats.chaos_injected)},
-      {"deadline_closes", static_cast<double>(chaos_stats.deadline_closes)},
-      {"shed_degraded", static_cast<double>(shed.degraded)},
-      {"shed_refused", static_cast<double>(shed.refused)},
-      {"malformed", static_cast<double>(faulted.malformed)},
-  };
-  record.fits.push_back(std::move(fit));
-  record.metric_groups = {"service", "retry", "topo_cache"};
-  record.metrics = mcast::obs::snapshot();
-
-  const std::string path = opt.out_dir + "/BENCH_service_chaos.json";
-  lab::write_manifest(record, path);
-  std::cerr << "svc_load: manifest " << path << "\n";
-
-  if (faulted.malformed > 0) {
-    std::cerr << "svc_load: FAIL: malformed line on a surviving connection\n";
-    return 1;
-  }
-  if (!shed.contract_ok) {
-    std::cerr << "svc_load: FAIL: shed probe contract violated\n";
-    return 1;
-  }
-  if (ratio < opt.min_goodput_ratio) {
-    std::cerr << "svc_load: FAIL: goodput ratio " << ratio << " below "
-              << opt.min_goodput_ratio << "\n";
-    return 1;
-  }
-  return 0;
+unsigned long long ull(std::uint64_t v) {
+  return static_cast<unsigned long long>(v);
 }
 
-int load_main(const options& opt) {
-  mcast::obs::reset_metrics();
-  const std::clock_t cpu_begin = std::clock();
-  const auto wall_begin = clock_type::now();
-
+/// The open-loop phases. Fills the record's SvcLoad fit and returns the
+/// failed run contract, or "" when the run held it.
+std::string open_loop_phases(const options& opt, lab::run_record& record) {
   // In-process server unless --port points at an external one.
-  std::shared_ptr<query_service> svc;
-  std::unique_ptr<line_server> server;
-  std::uint16_t port = opt.port;
-  if (port == 0) {
-    svc = std::make_shared<query_service>();
-    server = std::make_unique<line_server>(
-        typed_config(opt.workers, opt.queue),
-        [svc](const std::string& line) { return svc->handle(line); });
-    svc->set_stats_source([&s = *server] { return s.stats(); });
-    port = server->port();
-  }
+  std::optional<local_server> server;
+  if (opt.port == 0) server.emplace(typed_config(opt.workers, opt.queue));
+  const std::uint16_t port = server ? server->port() : opt.port;
   std::cerr << "svc_load: target 127.0.0.1:" << port
             << (server ? " (in-process)" : " (external)") << " connections="
             << opt.connections << " requests=" << opt.requests
             << " rate=" << opt.rate << "/s\n";
 
-  // Warmup: populate the topology cache and spin up the worker threads.
+  // Phase 1, warmup: populate the topology cache and spin up the workers.
   {
     options warm = opt;
     warm.connections = std::min<std::size_t>(opt.connections, 4);
     warm.requests = 16;
     warm.rate = 0.0;
-    (void)run_phase(port, warm);
+    (void)run_phase(port, warm, open_loop_connection);
   }
 
-  phase_result measured = run_phase(port, opt);
-  const std::uint64_t expected =
-      static_cast<std::uint64_t>(opt.connections) * opt.requests;
-  const double qps =
-      measured.wall_seconds > 0.0
-          ? static_cast<double>(measured.latencies_ms.size()) /
-                measured.wall_seconds
-          : 0.0;
-  std::sort(measured.latencies_ms.begin(), measured.latencies_ms.end());
-  const double p50 = percentile(measured.latencies_ms, 0.50);
-  const double p95 = percentile(measured.latencies_ms, 0.95);
-  const double p99 = percentile(measured.latencies_ms, 0.99);
+  // Phase 2, measured.
+  phase_result measured = run_phase(port, opt, open_loop_connection);
+  const double qps = measured.qps();
+  const op_percentiles all = summarize(measured.latencies_ms);
 
   // Latency attribution: the registry's svc.request_ns histogram times
   // the handler alone, the client-observed p99 adds queue wait and the
@@ -763,20 +572,19 @@ int load_main(const options& opt) {
   // means the two sides agree to within bucket granularity.
   double server_p99_ms = 0.0;
   double p99_delta_ms = 0.0;
+  double qps_logged = 0.0;
+  double accesslog_overhead = 0.0;
+  std::uint64_t overload_rejections = 0;
   if (server) {
     server_p99_ms =
         mcast::obs::snapshot().at(mcast::obs::histogram::svc_request_ns).p99 /
         1e6;
-    p99_delta_ms = p99 - server_p99_ms;
-  }
+    p99_delta_ms = all.p99 - server_p99_ms;
 
-  // Access-log overhead pair: the identical measured phase re-run with
-  // the JSONL sink armed (and the span tracer, under --profile). The open
-  // loop is rate-paced, so this measures the log's cost at the offered
-  // rate, not at saturation.
-  double qps_logged = 0.0;
-  double accesslog_overhead = 0.0;
-  if (server) {
+    // Phase 3, access log: the identical measured phase re-run with the
+    // JSONL sink armed (and the span tracer, under --profile). The open
+    // loop is rate-paced, so this measures the log's cost at the offered
+    // rate, not at saturation.
     const std::string log_path = opt.access_log.empty()
                                      ? opt.out_dir + "/access_svc_load.jsonl"
                                      : opt.access_log;
@@ -785,90 +593,66 @@ int load_main(const options& opt) {
       mcast::obs::trace_enable();
     }
     mcast::obs::access_log_enable(log_path);
-    phase_result logged = run_phase(port, opt);
+    const phase_result logged = run_phase(port, opt, open_loop_connection);
     mcast::obs::access_log_disable();
-    if (!opt.profile.empty()) mcast::obs::trace_disable();
-    qps_logged = logged.wall_seconds > 0.0
-                     ? static_cast<double>(logged.latencies_ms.size()) /
-                           logged.wall_seconds
-                     : 0.0;
+    if (!opt.profile.empty()) {
+      mcast::obs::trace_disable();
+      const mcast::obs::trace_dump dump = mcast::obs::trace_collect();
+      mcast::obs::write_chrome_trace_file(opt.profile, dump);
+      std::cerr << "svc_load: trace " << opt.profile << " ("
+                << dump.events.size() << " events, " << dump.dropped
+                << " dropped)\n";
+    }
+    qps_logged = logged.qps();
     accesslog_overhead =
         qps > 0.0 ? std::max(0.0, (qps - qps_logged) / qps) : 0.0;
-  }
 
-  std::uint64_t overload_rejections = 0;
-  if (server && opt.overload_probe) {
+    // Phase 4, overload probe, before the main server drains.
     overload_rejections = overload_probe(opt.seed);
+    server.reset();
   }
 
-  if (server) {
-    server->shutdown();
-    server->wait();
-  }
-
+  const std::uint64_t expected =
+      static_cast<std::uint64_t>(opt.connections) * opt.requests;
   std::printf("svc_load results\n");
   std::printf("  requests     %llu / %llu answered (%llu error, %llu lost)\n",
-              static_cast<unsigned long long>(measured.latencies_ms.size()),
-              static_cast<unsigned long long>(expected),
-              static_cast<unsigned long long>(measured.errors),
-              static_cast<unsigned long long>(measured.lost));
+              ull(measured.latencies_ms.size()), ull(expected),
+              ull(measured.errors), ull(measured.lost));
   std::printf("  wall         %.3f s\n", measured.wall_seconds);
   std::printf("  throughput   %.1f req/s\n", qps);
-  std::printf("  latency ms   p50=%.3f p95=%.3f p99=%.3f\n", p50, p95, p99);
-  if (server) {
+  std::printf("  latency ms   p50=%.3f p95=%.3f p99=%.3f\n", all.p50, all.p95,
+              all.p99);
+  if (opt.port == 0) {
     std::printf("  server p99   %.3f ms (client-server delta %+.3f ms)\n",
                 server_p99_ms, p99_delta_ms);
     std::printf("  access log   %.1f req/s logged (overhead %.2f%%)\n",
                 qps_logged, 100.0 * accesslog_overhead);
-  }
-  if (server && opt.overload_probe) {
     std::printf("  overload     %llu typed rejections under saturation\n",
-                static_cast<unsigned long long>(overload_rejections));
+                ull(overload_rejections));
   }
 
-  // Manifest, shaped exactly like a lab run so `mcast_lab validate` and
-  // the perf-trajectory tooling ingest it unchanged.
-  namespace lab = mcast::lab;
-  lab::run_record record;
   record.experiment_id = "svc_load";
   record.title = "Service load: QPS and tail latency of mcast_serve";
   record.claim =
       "open-loop throughput, exact p50/p95/p99 latency, and typed "
       "admission-control rejections of the line-JSON query service";
-  record.scale = lab::scale_from_env();
-  record.threads = opt.workers;
-  record.parameters.set("connections",
-                        static_cast<std::uint64_t>(opt.connections));
-  record.parameters.set("requests", static_cast<std::uint64_t>(opt.requests));
   record.parameters.set("rate", opt.rate);
-  record.parameters.set("workers", static_cast<std::uint64_t>(opt.workers));
-  record.parameters.set("queue", static_cast<std::uint64_t>(opt.queue));
-  record.parameters.set("seed", opt.seed);
   record.parameters.set("external_port", static_cast<std::uint64_t>(opt.port));
-  record.git_revision = lab::current_git_revision();
-  record.timestamp_utc = lab::utc_timestamp();
-  record.wall_seconds =
-      std::chrono::duration<double>(clock_type::now() - wall_begin).count();
-  record.cpu_seconds = static_cast<double>(std::clock() - cpu_begin) /
-                       static_cast<double>(CLOCKS_PER_SEC);
+  record.metric_groups = {"service", "topo_cache"};
   lab::fit_entry fit;
   fit.label = "SvcLoad";
-  {
-    char text[256];
-    std::snprintf(text, sizeof text,
-                  "qps=%.1f p50_ms=%.3f p95_ms=%.3f p99_ms=%.3f "
-                  "errors=%llu lost=%llu overload_rejections=%llu",
-                  qps, p50, p95, p99,
-                  static_cast<unsigned long long>(measured.errors),
-                  static_cast<unsigned long long>(measured.lost),
-                  static_cast<unsigned long long>(overload_rejections));
-    fit.text = text;
-  }
+  char text[256];
+  std::snprintf(text, sizeof text,
+                "qps=%.1f p50_ms=%.3f p95_ms=%.3f p99_ms=%.3f "
+                "errors=%llu lost=%llu overload_rejections=%llu",
+                qps, all.p50, all.p95, all.p99, ull(measured.errors),
+                ull(measured.lost), ull(overload_rejections));
+  fit.text = text;
   fit.values = {
       {"qps", qps},
-      {"p50_ms", p50},
-      {"p95_ms", p95},
-      {"p99_ms", p99},
+      {"p50_ms", all.p50},
+      {"p95_ms", all.p95},
+      {"p99_ms", all.p99},
       {"server_p99_ms", server_p99_ms},
       {"p99_delta_ms", p99_delta_ms},
       {"qps_accesslog", qps_logged},
@@ -878,25 +662,175 @@ int load_main(const options& opt) {
       {"lost", static_cast<double>(measured.lost)},
       {"overload_rejections", static_cast<double>(overload_rejections)},
   };
-  report_op_breakdown(measured, fit);
-  record.fits.push_back(std::move(fit));
-  record.metric_groups = {"service", "topo_cache"};
-  record.metrics = mcast::obs::snapshot();
-
-  const std::string path = opt.out_dir + "/BENCH_service.json";
-  lab::write_manifest(record, path);
-  std::cerr << "svc_load: manifest " << path << "\n";
-  if (server && !opt.profile.empty()) {
-    const mcast::obs::trace_dump dump = mcast::obs::trace_collect();
-    mcast::obs::write_chrome_trace_file(opt.profile, dump);
-    std::cerr << "svc_load: trace " << opt.profile << " ("
-              << dump.events.size() << " events, " << dump.dropped
-              << " dropped)\n";
+  static const char* const names[3] = {"lmhat", "estimate", "reachability"};
+  for (std::size_t b = 0; b < 3; ++b) {
+    const op_percentiles ps = summarize(measured.by_op_ms[b]);
+    std::printf("  %-12s p50=%.3f p95=%.3f p99=%.3f ms (%zu samples)\n",
+                names[b], ps.p50, ps.p95, ps.p99, ps.count);
+    const std::string prefix = names[b];
+    fit.values.push_back({prefix + "_p50_ms", ps.p50});
+    fit.values.push_back({prefix + "_p95_ms", ps.p95});
+    fit.values.push_back({prefix + "_p99_ms", ps.p99});
   }
+  record.fits.push_back(std::move(fit));
 
   // Lost responses mean dropped connections mid-phase — that is a failure
   // of the zero-drop contract, not a statistic.
-  return measured.lost == 0 ? 0 : 1;
+  if (measured.lost > 0) {
+    return std::to_string(measured.lost) + " request(s) got no response";
+  }
+  return "";
+}
+
+/// The closed-loop chaos phases. Fills the record's SvcChaos fit and
+/// returns the failed run contract, or "" when the run held it.
+std::string closed_loop_phases(const options& opt, lab::run_record& record) {
+  const chaos_spec& spec = *opt.chaos;
+  std::cerr << "svc_load: chaos mode (" << spec.describe()
+            << ") connections=" << opt.connections
+            << " requests=" << opt.requests << "\n";
+
+  // Phase 1, baseline: the retry-client workload against a fault-free
+  // server.
+  double baseline_qps = 0.0;
+  {
+    const local_server server(typed_config(opt.workers, opt.queue));
+    const phase_result baseline =
+        run_phase(server.port(), opt, closed_loop_connection);
+    baseline_qps = baseline.qps();
+    std::printf("svc_load chaos baseline\n");
+    std::printf("  successes    %llu (%llu attempts)\n",
+                ull(baseline.latencies_ms.size()), ull(baseline.attempts));
+    std::printf("  goodput      %.1f req/s fault-free\n", baseline_qps);
+  }
+
+  // Phase 2, faulted: the same workload with the chaos shim armed.
+  server_stats chaos_stats;
+  phase_result faulted;
+  {
+    server_config config = typed_config(opt.workers, opt.queue);
+    config.chaos = std::make_shared<const chaos_engine>(spec);
+    const local_server server(config);
+    faulted =
+        run_phase(server.port(), opt, closed_loop_connection);
+    chaos_stats = server.stats();
+  }
+  const std::uint64_t successes = faulted.latencies_ms.size();
+  const double goodput = faulted.qps();
+  const double ratio = baseline_qps > 0.0 ? goodput / baseline_qps : 0.0;
+  const op_percentiles tail = summarize(faulted.latencies_ms);
+
+  // Phase 3: deterministic shed-tier probe (no sockets involved).
+  const shed_probe_result shed = run_shed_probe();
+
+  const std::uint64_t expected =
+      static_cast<std::uint64_t>(opt.connections) * opt.requests;
+  std::printf("svc_load chaos results\n");
+  std::printf("  successes    %llu / %llu (%llu typed errors, %llu failed)\n",
+              ull(successes), ull(expected), ull(faulted.errors),
+              ull(faulted.lost));
+  std::printf("  attempts     %llu (faults injected: %llu)\n",
+              ull(faulted.attempts), ull(chaos_stats.chaos_injected));
+  std::printf("  goodput      %.1f req/s (%.1f%% of fault-free)\n", goodput,
+              100.0 * ratio);
+  std::printf("  latency ms   p50=%.3f p99=%.3f (through retries)\n", tail.p50,
+              tail.p99);
+  std::printf("  shed probe   %llu degraded, %llu refused, contract %s\n",
+              ull(shed.degraded), ull(shed.refused),
+              shed.contract_ok ? "ok" : "VIOLATED");
+  if (faulted.malformed > 0) {
+    std::printf("  MALFORMED    %llu surviving non-JSON lines\n",
+                ull(faulted.malformed));
+  }
+
+  record.experiment_id = "svc_chaos";
+  record.title = "Service chaos: goodput and tails under fault injection";
+  record.claim =
+      "closed-loop goodput, retry pressure and p99-through-retries of "
+      "mcast_serve under deterministic seeded fault injection, plus the "
+      "cost-aware shedding tiers exercised deterministically";
+  record.parameters.set("chaos", spec.describe());
+  record.parameters.set("min_goodput_ratio", opt.min_goodput_ratio);
+  record.metric_groups = {"service", "retry", "topo_cache"};
+  lab::fit_entry fit;
+  fit.label = "SvcChaos";
+  char text[320];
+  std::snprintf(text, sizeof text,
+                "goodput_qps=%.1f baseline_qps=%.1f goodput_ratio=%.3f "
+                "p50_ms=%.3f p99_ms=%.3f attempts=%llu faults=%llu "
+                "shed_degraded=%llu shed_refused=%llu",
+                goodput, baseline_qps, ratio, tail.p50, tail.p99,
+                ull(faulted.attempts), ull(chaos_stats.chaos_injected),
+                ull(shed.degraded), ull(shed.refused));
+  fit.text = text;
+  fit.values = {
+      {"goodput_qps", goodput},
+      {"baseline_qps", baseline_qps},
+      {"goodput_ratio", ratio},
+      {"p50_ms", tail.p50},
+      {"p99_ms", tail.p99},
+      {"successes", static_cast<double>(successes)},
+      {"server_errors", static_cast<double>(faulted.errors)},
+      {"transport_failures", static_cast<double>(faulted.lost)},
+      {"attempts", static_cast<double>(faulted.attempts)},
+      {"faults_injected", static_cast<double>(chaos_stats.chaos_injected)},
+      {"deadline_closes", static_cast<double>(chaos_stats.deadline_closes)},
+      {"shed_degraded", static_cast<double>(shed.degraded)},
+      {"shed_refused", static_cast<double>(shed.refused)},
+      {"malformed", static_cast<double>(faulted.malformed)},
+  };
+  record.fits.push_back(std::move(fit));
+
+  if (faulted.malformed > 0) return "malformed line on a surviving connection";
+  if (!shed.contract_ok) return "shed probe contract violated";
+  if (ratio < opt.min_goodput_ratio) {
+    return "goodput ratio " + std::to_string(ratio) + " below " +
+           std::to_string(opt.min_goodput_ratio);
+  }
+  return "";
+}
+
+/// The one main flow: the phases of the selected loop, then one manifest,
+/// shaped exactly like a lab run so `mcast_lab validate` and the
+/// perf-trajectory tooling ingest it unchanged.
+int run(const options& opt) {
+  if (!std::filesystem::is_directory(opt.out_dir)) {
+    throw std::runtime_error("--out=" + opt.out_dir +
+                             " is not an existing directory");
+  }
+  mcast::obs::reset_metrics();
+  const std::clock_t cpu_begin = std::clock();
+  const auto wall_begin = clock_type::now();
+
+  lab::run_record record;
+  record.scale = lab::scale_from_env();
+  record.threads = opt.workers;
+  record.parameters.set("connections",
+                        static_cast<std::uint64_t>(opt.connections));
+  record.parameters.set("requests", static_cast<std::uint64_t>(opt.requests));
+  record.parameters.set("workers", static_cast<std::uint64_t>(opt.workers));
+  record.parameters.set("queue", static_cast<std::uint64_t>(opt.queue));
+  record.parameters.set("seed", opt.seed);
+  const std::string failure = opt.chaos ? closed_loop_phases(opt, record)
+                                        : open_loop_phases(opt, record);
+  record.git_revision = lab::current_git_revision();
+  record.timestamp_utc = lab::utc_timestamp();
+  record.wall_seconds =
+      std::chrono::duration<double>(clock_type::now() - wall_begin).count();
+  record.cpu_seconds = static_cast<double>(std::clock() - cpu_begin) /
+                       static_cast<double>(CLOCKS_PER_SEC);
+  record.metrics = mcast::obs::snapshot();
+
+  const std::string path =
+      opt.out_dir +
+      (opt.chaos ? "/BENCH_service_chaos.json" : "/BENCH_service.json");
+  lab::write_manifest(record, path);
+  std::cerr << "svc_load: manifest " << path << "\n";
+  if (!failure.empty()) {
+    std::cerr << "svc_load: FAIL: " << failure << "\n";
+    return 1;
+  }
+  return 0;
 }
 
 }  // namespace
@@ -904,11 +838,7 @@ int load_main(const options& opt) {
 int main(int argc, char** argv) {
   const options opt = parse_options(argc, argv);
   try {
-    if (!std::filesystem::is_directory(opt.out_dir)) {
-      throw std::runtime_error("--out=" + opt.out_dir +
-                               " is not an existing directory");
-    }
-    return opt.chaos.empty() ? load_main(opt) : chaos_main(opt);
+    return run(opt);
   } catch (const std::exception& e) {
     std::cerr << "svc_load: " << e.what() << "\n";
     return 2;

@@ -32,39 +32,43 @@ double number_field(const json::value& event, std::size_t index,
   return v->as_number();
 }
 
-// args.trace_id as written by obs::write_chrome_trace: a %016llx hex
-// string. Absent args (untraced spans) yield 0; a present-but-malformed
-// id is a spec error like any other malformed field.
-std::uint64_t trace_id_field(const json::value& event, std::size_t index) {
-  const json::value* args = event.get("args");
+// A hex id under args (trace_id, span, parent) as written by
+// obs::write_chrome_trace. Absent args or an absent key (untraced spans)
+// yield 0; a present-but-malformed id is a spec error like any other
+// malformed field.
+std::uint64_t hex_arg(const json::value* args, std::size_t index,
+                      const char* key) {
   if (args == nullptr) return 0;
-  if (!args->is(json::value::kind::object)) {
-    bad_event(index, "'args' is not an object");
-  }
-  const json::value* id = args->get("trace_id");
+  const json::value* id = args->get(key);
   if (id == nullptr) return 0;
+  std::string field = "'args.";
+  field += key;
+  field += "'";
   if (!id->is(json::value::kind::string)) {
-    bad_event(index, "'args.trace_id' is not a string");
-  }
-  const std::string& text = id->as_string();
-  if (text.empty() || text.size() > 16) {
-    bad_event(index, "'args.trace_id' is not a hex id: '" + text + "'");
+    bad_event(index, field + " is not a string");
   }
   std::uint64_t out = 0;
-  for (const char ch : text) {
-    int digit;
-    if (ch >= '0' && ch <= '9') digit = ch - '0';
-    else if (ch >= 'a' && ch <= 'f') digit = ch - 'a' + 10;
-    else if (ch >= 'A' && ch <= 'F') digit = ch - 'A' + 10;
-    else {
-      bad_event(index, "'args.trace_id' is not a hex id: '" + text + "'");
-    }
-    out = (out << 4) | static_cast<std::uint64_t>(digit);
+  if (!parse_hex_id(id->as_string(), out)) {
+    bad_event(index, field + " is not a hex id: '" + id->as_string() + "'");
   }
   return out;
 }
 
 }  // namespace
+
+bool parse_hex_id(const std::string& text, std::uint64_t& out) {
+  if (text.empty() || text.size() > 16) return false;
+  out = 0;
+  for (const char ch : text) {
+    int digit;
+    if (ch >= '0' && ch <= '9') digit = ch - '0';
+    else if (ch >= 'a' && ch <= 'f') digit = ch - 'a' + 10;
+    else if (ch >= 'A' && ch <= 'F') digit = ch - 'A' + 10;
+    else return false;
+    out = (out << 4) | static_cast<std::uint64_t>(digit);
+  }
+  return true;
+}
 
 parsed_trace parse_trace(const json::value& doc) {
   const json::value* events = &doc;
@@ -106,7 +110,13 @@ parsed_trace parse_trace(const json::value& doc) {
     span.dur_us = number_field(e, i, "dur");
     if (span.dur_us < 0.0) bad_event(i, "'dur' is negative");
     span.tid = static_cast<std::uint32_t>(number_field(e, i, "tid"));
-    span.trace_id = trace_id_field(e, i);
+    const json::value* args = e.get("args");
+    if (args != nullptr && !args->is(json::value::kind::object)) {
+      bad_event(i, "'args' is not an object");
+    }
+    span.trace_id = hex_arg(args, i, "trace_id");
+    span.span_id = hex_arg(args, i, "span");
+    span.parent_id = hex_arg(args, i, "parent");
     out.spans.push_back(std::move(span));
   }
   return out;

@@ -20,7 +20,7 @@
 //
 // parse_trace is strict: a malformed event (wrong type, missing field)
 // throws std::invalid_argument naming the index — the spec-error exit
-// path of `mcast_lab check`, mirroring tools/trace_summary.py.
+// path (2) of both `mcast_lab check` and `mcast_lab trace`.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +39,9 @@ struct span_event {
   double ts_us = 0.0;
   double dur_us = 0.0;
   std::uint32_t tid = 0;
-  std::uint64_t trace_id = 0;  ///< args.trace_id (hex), 0 when untagged
+  std::uint64_t trace_id = 0;   ///< args.trace_id (hex), 0 when untagged
+  std::uint64_t span_id = 0;    ///< args.span (hex), 0 when untagged
+  std::uint64_t parent_id = 0;  ///< args.parent (hex), 0 for a root
 };
 
 struct parsed_trace {
@@ -47,6 +49,10 @@ struct parsed_trace {
   std::size_t events = 0;         ///< all events, any phase
   std::uint64_t dropped = 0;      ///< otherData.dropped
 };
+
+/// Parses a hex id of at most 16 digits, as obs::write_chrome_trace and
+/// the access log write them (%016llx). False on anything else.
+bool parse_hex_id(const std::string& text, std::uint64_t& out);
 
 /// Parses a trace_event document ({"traceEvents": [...]} or a bare
 /// array). Throws std::invalid_argument on a malformed event.

@@ -29,20 +29,6 @@ struct trace_args {
   throw std::invalid_argument(message);
 }
 
-bool parse_hex_id(const std::string& text, std::uint64_t& out) {
-  if (text.empty() || text.size() > 16) return false;
-  out = 0;
-  for (const char ch : text) {
-    int digit;
-    if (ch >= '0' && ch <= '9') digit = ch - '0';
-    else if (ch >= 'a' && ch <= 'f') digit = ch - 'a' + 10;
-    else if (ch >= 'A' && ch <= 'F') digit = ch - 'A' + 10;
-    else return false;
-    out = (out << 4) | static_cast<std::uint64_t>(digit);
-  }
-  return true;
-}
-
 std::string fmt_id(std::uint64_t id) {
   char buf[24];
   std::snprintf(buf, sizeof buf, "%016llx",
@@ -306,6 +292,66 @@ void print_request_detail(const request_view& view) {
   }
 }
 
+/// The chain of spans that bounds a request's wall time: from the root,
+/// descend each step into the child that ends last, the stage the request
+/// actually waited for. Children are found through args.span/args.parent;
+/// a request without those links is just its root span. The length bound
+/// stops a malformed file whose links form a cycle.
+std::vector<const span_event*> critical_path(const request_view& view) {
+  std::vector<const span_event*> path;
+  for (const span_event* node = view.root();
+       node != nullptr && path.size() < view.spans.size();) {
+    path.push_back(node);
+    const span_event* next = nullptr;
+    for (const span_event* s : view.spans) {
+      if (node->span_id != 0 && s->parent_id == node->span_id &&
+          (next == nullptr ||
+           s->ts_us + s->dur_us > next->ts_us + next->dur_us)) {
+        next = s;
+      }
+    }
+    node = next;
+  }
+  return path;
+}
+
+/// Total, count, mean and max per span name over every complete span,
+/// tagged or not, so a lab profile without trace ids summarizes too.
+void print_top_spans(const parsed_trace& trace, std::size_t top) {
+  struct totals {
+    double total_us = 0.0;
+    double max_us = 0.0;
+    std::size_t count = 0;
+  };
+  std::map<std::string, totals> by_name;
+  for (const span_event& s : trace.spans) {
+    totals& t = by_name[s.name];
+    t.total_us += s.dur_us;
+    t.max_us = std::max(t.max_us, s.dur_us);
+    ++t.count;
+  }
+  std::vector<std::pair<std::string, totals>> rows(by_name.begin(),
+                                                   by_name.end());
+  std::stable_sort(rows.begin(), rows.end(), [](const auto& x, const auto& y) {
+    return x.second.total_us > y.second.total_us;
+  });
+  if (rows.size() > top) rows.resize(top);
+  int width = 4;
+  for (const auto& [name, t] : rows) {
+    width = std::max(width, static_cast<int>(name.size()));
+  }
+  char buf[512];
+  std::snprintf(buf, sizeof buf, "  %-*s %14s %8s %12s %12s\n", width, "span",
+                "total_us", "count", "mean_us", "max_us");
+  std::cout << "top " << rows.size() << " spans by cumulative time:\n" << buf;
+  for (const auto& [name, t] : rows) {
+    std::snprintf(buf, sizeof buf, "  %-*s %14.3f %8zu %12.3f %12.3f\n",
+                  width, name.c_str(), t.total_us, t.count,
+                  t.total_us / static_cast<double>(t.count), t.max_us);
+    std::cout << buf;
+  }
+}
+
 /// Splits a retry-client token "<base>-a<N>" into (base, N); false when
 /// the token is not of that shape.
 bool split_attempt_token(const std::string& token, std::string& base,
@@ -412,6 +458,7 @@ int run_trace(const std::vector<std::string>& args) {
             << " tagged span(s), " << (trace.spans.size() - tagged)
             << " untagged, " << records.size() << " access record(s), "
             << trace.dropped << " dropped event(s)\n";
+  if (a.top > 0 && !trace.spans.empty()) print_top_spans(trace, a.top);
 
   for (const auto& [id, view] : requests) {
     std::cout << "  " << fmt_id(id) << " spans=" << view.spans.size();
@@ -437,7 +484,8 @@ int run_trace(const std::vector<std::string>& args) {
                        return x->wall_us() > y->wall_us();
                      });
     if (slowest.size() > a.top) slowest.resize(a.top);
-    std::cout << "top " << slowest.size() << " slowest:\n";
+    std::cout << "top " << slowest.size()
+              << " slowest, with critical paths:\n";
     for (std::size_t i = 0; i < slowest.size(); ++i) {
       const request_view& view = *slowest[i];
       std::cout << "  " << (i + 1) << ". " << fmt_id(view.trace_id)
@@ -446,6 +494,11 @@ int run_trace(const std::vector<std::string>& args) {
         std::cout << " " << describe_record(*view.records.front());
       } else if (const span_event* root = view.root()) {
         std::cout << " root=" << root->name;
+      }
+      const char* sep = "\n     path: ";
+      for (const span_event* s : critical_path(view)) {
+        std::cout << sep << s->name << " (" << fmt_us(s->dur_us) << "us)";
+        sep = " > ";
       }
       std::cout << "\n";
     }

@@ -4,11 +4,15 @@
 // (`--access-log`, JSONL, schema mcast-access-log/1) on the trace id.
 //
 // Views:
-//   * default         — one line per traced request: id, root span, span
-//     count, wall time, and (when the access log is given) the joined
-//     op/outcome/latency-split record; followed by the top-K slowest
-//     requests and, from the access log, reconstructed retry attempt
-//     chains (client tokens of the form "<base>-a<N>").
+//   * default         — the top-K span names by cumulative time (total,
+//     count, mean and max; untagged spans count too, so a lab profile
+//     summarizes as well); one line per traced request: id, root span,
+//     span count, wall time, and (when the access log is given) the
+//     joined op/outcome/latency-split record; the top-K slowest requests,
+//     each with its critical path (from the root, the child that ends
+//     last, via args.span/args.parent); and, from the access log,
+//     reconstructed retry attempt chains (client tokens of the form
+//     "<base>-a<N>").
 //   * --trace-id=HEX  — a single request in full: its spans in start
 //     order with lane and duration, plus every access record that
 //     carries the id.

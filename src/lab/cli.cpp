@@ -41,10 +41,11 @@ void usage(std::ostream& out) {
          "                           baseline; exit 0 pass, 2 spec error,\n"
          "                           3 expectations violated\n"
          "  trace --profile=F [--access-log=F] [--trace-id=HEX] [--top=K]\n"
-         "                           request-centric view over a Chrome\n"
-         "                           trace and the service access log,\n"
-         "                           joined on trace id: per-request span\n"
-         "                           groups, top-K slow requests, retry\n"
+         "                           summarize a Chrome trace, joined on\n"
+         "                           trace id with the service access log:\n"
+         "                           top-K spans by cumulative time,\n"
+         "                           per-request span groups, top-K slow\n"
+         "                           requests with critical paths, retry\n"
          "                           attempt chains (docs/observability.md)\n"
          "  serve [--port=N] [--threads=K] [--queue=N] [--max-line=B]\n"
          "         [--metrics-summary] [--profile=FILE]\n"

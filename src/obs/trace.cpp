@@ -77,7 +77,7 @@ void write_chrome_trace(std::ostream& out, const trace_dump& dump) {
   // on another lane, so the viewer draws the request's cross-lane arc.
   // Synthesized here — zero hot-path cost — and bound by id, which is the
   // trace_id in hex. Phases other than "X" are skipped by our own trace
-  // consumers (trace_check, trace_summary).
+  // consumer (check/trace_check, read by `mcast_lab check` and `trace`).
   std::vector<const trace_event*> roots;
   for (const trace_event& e : dump.events) {
     if (e.trace_id == 0) continue;

@@ -130,7 +130,8 @@ inline std::string read_until(int fd, const std::string& needle,
 inline std::string temp_path(const std::string& name) {
   std::string dir = ::testing::TempDir();
   if (!dir.empty() && dir.back() != '/') dir += '/';
-  const std::string tag = "." + std::to_string(::getpid());
+  std::string tag = ".";
+  tag += std::to_string(::getpid());
   const std::size_t dot = name.rfind('.');
   if (dot == std::string::npos) return dir + name + tag;
   return dir + name.substr(0, dot) + tag + name.substr(dot);

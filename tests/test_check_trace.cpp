@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <regex>
 #include <string>
 #include <vector>
 
@@ -314,6 +315,26 @@ TEST(check_trace, malformed_trace_ids_throw_with_index) {
             0xffu);
 }
 
+TEST(check_trace, span_and_parent_links_parse) {
+  const parsed_trace t = parse_trace(json::parse(
+      R"([{"name": "a", "ph": "X", "ts": 0, "dur": 1, "tid": 1,)"
+      R"( "args": {"trace_id": "0a", "span": "0b", "parent": "0c"}}])"));
+  ASSERT_EQ(t.spans.size(), 1u);
+  EXPECT_EQ(t.spans[0].trace_id, 0xau);
+  EXPECT_EQ(t.spans[0].span_id, 0xbu);
+  EXPECT_EQ(t.spans[0].parent_id, 0xcu);
+  try {
+    parse_trace(json::parse(
+        R"([{"name": "a", "ph": "X", "ts": 0, "dur": 1, "tid": 1,)"
+        R"( "args": {"trace_id": "0a", "span": 7}}])"));
+    FAIL() << "expected invalid_argument for a numeric span id";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("traceEvents[0]: 'args.span'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(check_trace, bare_array_and_non_x_phases) {
   // Bare-array form, with a metadata event that has no name/dur: valid.
   const parsed_trace t = parse_trace(json::parse(
@@ -404,6 +425,82 @@ TEST(check_trace_live, real_run_passes_and_violated_spec_fails) {
                       "--expect", good, "--trace", trace});
   EXPECT_EQ(pass.exit_code, 0) << pass.out << pass.err;
   EXPECT_NE(pass.out.find(": pass"), std::string::npos) << pass.out;
+}
+
+// `mcast_lab trace` over hand-built profiles, in the raw trace_event shape
+// obs::write_chrome_trace emits.
+
+// One request's span in the service's shape: trace id, own id and parent
+// id as 16-digit hex in args.
+std::string linked_span(const char* name, int ts, int dur, int tid,
+                        int trace, int span, int parent) {
+  char buf[320];
+  std::snprintf(buf, sizeof buf,
+                R"({"name":"%s","ph":"X","ts":%d,"dur":%d,"pid":1,"tid":%d,)"
+                R"("args":{"trace_id":"%016x","span":"%016x",)"
+                R"("parent":"%016x"}})",
+                name, ts, dur, tid, trace, span, parent);
+  return buf;
+}
+
+TEST(trace_cmd_live, top_spans_and_critical_path) {
+  // Request 0xa waits on batch (ends last among request's children), and
+  // batch on its second sub-op; request 0xb is a lone short root.
+  std::string doc = "{\"traceEvents\":[";
+  doc += linked_span("request", 0, 1000, 1, 0xa, 1, 0) + ",";
+  doc += linked_span("parse", 10, 100, 1, 0xa, 2, 1) + ",";
+  doc += linked_span("batch", 200, 700, 1, 0xa, 3, 1) + ",";
+  doc += linked_span("batch.subop", 250, 300, 2, 0xa, 4, 3) + ",";
+  doc += linked_span("batch.subop", 600, 250, 2, 0xa, 5, 3) + ",";
+  doc += linked_span("request", 2000, 50, 1, 0xb, 6, 0);
+  doc += "]}";
+  const std::string path = temp_path("linked.json");
+  write_file(path, doc);
+
+  const auto r = testproc::run(MCAST_LAB_BIN,
+                               {"trace", "--profile=" + path, "--top=1"});
+  EXPECT_EQ(r.exit_code, 0) << r.err;
+  EXPECT_NE(r.out.find("trace: 2 request(s), 6 tagged span(s)"),
+            std::string::npos)
+      << r.out;
+  // --top=1 keeps the name with the largest total: request, 1050us over 2.
+  EXPECT_NE(r.out.find("top 1 spans by cumulative time"), std::string::npos)
+      << r.out;
+  EXPECT_TRUE(std::regex_search(
+      r.out, std::regex(R"(request +1050\.000 +2 +525\.000 +1000\.000\n)")))
+      << r.out;
+  EXPECT_NE(r.out.find("1. 000000000000000a wall=1000.000us"),
+            std::string::npos)
+      << r.out;
+  EXPECT_NE(r.out.find("path: request (1000.000us) > batch (700.000us) > "
+                       "batch.subop (250.000us)\n"),
+            std::string::npos)
+      << r.out;
+  std::remove(path.c_str());
+}
+
+TEST(trace_cmd_live, lab_profile_without_trace_ids_summarizes) {
+  const std::string path = temp_path("untagged.json");
+  write_file(path, json::dump(make_trace(k_nested)));
+  const auto r = testproc::run(MCAST_LAB_BIN, {"trace", "--profile=" + path});
+  EXPECT_EQ(r.exit_code, 0) << r.err;
+  EXPECT_NE(r.out.find("trace: 0 request(s), 0 tagged span(s), 4 untagged"),
+            std::string::npos)
+      << r.out;
+  EXPECT_NE(r.out.find("top 3 spans by cumulative time"), std::string::npos)
+      << r.out;
+  EXPECT_NE(r.out.find("sweep_point"), std::string::npos) << r.out;
+  EXPECT_EQ(r.out.find("slowest"), std::string::npos) << r.out;
+  std::remove(path.c_str());
+}
+
+TEST(trace_cmd_live, malformed_events_exit_2) {
+  const std::string path = temp_path("malformed.json");
+  write_file(path, R"({"traceEvents":[{"ph":5}]})");
+  const auto r = testproc::run(MCAST_LAB_BIN, {"trace", "--profile=" + path});
+  EXPECT_EQ(r.exit_code, 2) << r.out;
+  EXPECT_NE(r.err.find("traceEvents[0]"), std::string::npos) << r.err;
+  std::remove(path.c_str());
 }
 
 #endif  // MCAST_LAB_BIN

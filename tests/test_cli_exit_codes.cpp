@@ -176,14 +176,40 @@ TEST(cli_exit_codes, svc_load_bad_flag_is_1) {
   EXPECT_FALSE(r.err.empty());
 }
 
+TEST(cli_exit_codes, svc_load_overflowing_flag_is_1) {
+  // 2^64 + 8 must be refused, not wrapped to 8 connections.
+  const run_result r =
+      run(SVC_LOAD_BIN, {"--connections=18446744073709551624"});
+  EXPECT_EQ(r.exit_code, 1) << r.err;
+  EXPECT_NE(r.err.find("--connections"), std::string::npos) << r.err;
+  EXPECT_EQ(r.term_signal, 0) << "svc_load must exit, not abort";
+}
+
+TEST(cli_exit_codes, svc_load_refused_connection_is_2) {
+  // A port that was just listening and is now closed: every connection
+  // is refused on its own thread, and the failure must reach main as
+  // exit 2 instead of aborting the process.
+  std::uint16_t closed_port = 0;
+  {
+    const net::listen_socket probe = net::listen_loopback(0);
+    closed_port = probe.port;
+  }
+  const std::string dir = ::testing::TempDir();
+  const run_result r =
+      run(SVC_LOAD_BIN, {"--port=" + std::to_string(closed_port),
+                         "--out=" + dir, "--connections=2", "--requests=1"});
+  EXPECT_EQ(r.exit_code, 2) << r.err;
+  EXPECT_EQ(r.term_signal, 0) << "svc_load must exit, not abort";
+  EXPECT_FALSE(r.err.empty());
+}
+
 TEST(cli_exit_codes, svc_load_out_naming_a_file_is_2) {
   // --out names the artifact directory. A regular file there is an I/O
   // failure with its own exit code, reported before any load runs.
   const std::string file = testproc::temp_path("svc_load_out.txt");
   { std::ofstream(file) << "not a directory\n"; }
   const run_result r =
-      run(SVC_LOAD_BIN, {"--out=" + file, "--connections=1", "--requests=1",
-                         "--skip-overload-probe"});
+      run(SVC_LOAD_BIN, {"--out=" + file, "--connections=1", "--requests=1"});
   EXPECT_EQ(r.exit_code, 2) << r.err;
   EXPECT_NE(r.err.find("not an existing directory"), std::string::npos)
       << r.err;

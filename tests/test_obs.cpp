@@ -11,6 +11,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/json.hpp"
@@ -298,7 +299,9 @@ TEST_F(obs_test, spans_cost_nothing_while_disabled) {
 TEST_F(obs_test, ring_buffer_wraps_and_counts_drops) {
   trace_enable(/*ring_capacity=*/4);
   for (int i = 0; i < 10; ++i) {
-    span s("s" + std::to_string(i));
+    std::string name = "s";
+    name += std::to_string(i);
+    span s(std::move(name));
   }
   trace_disable();
   const trace_dump dump = trace_collect();
@@ -315,7 +318,11 @@ TEST_F(obs_test, multi_thread_trace_merge_is_deterministic) {
   for (int t = 0; t < 4; ++t) {
     pool.emplace_back([t] {
       for (int i = 0; i < 50; ++i) {
-        span s("t" + std::to_string(t) + "." + std::to_string(i));
+        std::string name = "t";
+        name += std::to_string(t);
+        name += '.';
+        name += std::to_string(i);
+        span s(std::move(name));
       }
     });
   }
